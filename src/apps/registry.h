@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "common/enum_names.h"
 
 namespace dcrm::apps {
 
@@ -15,6 +16,12 @@ enum class AppScale {
   kTiny,    // unit tests & fast fault campaigns
   kSmall,   // default campaigns
   kMedium,  // timing benches (more CTAs, better occupancy)
+};
+
+inline constexpr EnumName<AppScale> kScaleNames[] = {
+    {"tiny", AppScale::kTiny},
+    {"small", AppScale::kSmall},
+    {"medium", AppScale::kMedium},
 };
 
 // Creates the named application at the given scale. Throws

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "apps/driver.h"
+#include "common/enum_names.h"
 #include "common/stats.h"
 #include "core/protection.h"
 #include "core/recovery.h"
@@ -58,6 +59,12 @@ inline const char* OutcomeName(Outcome o) {
 }
 
 enum class Target : std::uint8_t { kHotBlocks, kRestBlocks, kMissWeighted };
+
+inline constexpr EnumName<Target> kTargetNames[] = {
+    {"hot", Target::kHotBlocks},
+    {"rest", Target::kRestBlocks},
+    {"miss", Target::kMissWeighted},
+};
 
 // Spatial fault footprint (see fault/fault_shapes.h). kWordBits is the
 // paper's recipe; kColumn and kDramRow model the column/row failure

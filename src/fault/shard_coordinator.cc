@@ -14,6 +14,7 @@
 #include "common/file_util.h"
 #include "common/subprocess.h"
 #include "fault/parallel_campaign.h"
+#include "fault/request_fields.h"
 #include "fault/shard_io.h"
 #include "sim/config_io.h"
 #include "trace/trace_io.h"
@@ -104,42 +105,6 @@ void SweepTempFiles(const std::string& dir) {
 
 }  // namespace
 
-const char* ScaleFlagName(apps::AppScale s) {
-  switch (s) {
-    case apps::AppScale::kTiny:
-      return "tiny";
-    case apps::AppScale::kSmall:
-      return "small";
-    case apps::AppScale::kMedium:
-      return "medium";
-  }
-  return "?";
-}
-
-const char* SchemeFlagName(sim::Scheme s) {
-  switch (s) {
-    case sim::Scheme::kNone:
-      return "none";
-    case sim::Scheme::kDetectOnly:
-      return "detect";
-    case sim::Scheme::kDetectCorrect:
-      return "correct";
-  }
-  return "?";
-}
-
-const char* TargetFlagName(Target t) {
-  switch (t) {
-    case Target::kHotBlocks:
-      return "hot";
-    case Target::kRestBlocks:
-      return "rest";
-    case Target::kMissWeighted:
-      return "miss";
-  }
-  return "?";
-}
-
 bool CoupledAcrossTrials(const ShardCampaignSpec& spec) {
   const CampaignConfig cc = MakeCampaignConfig(spec);
   return cc.recovery.enabled && cc.recovery.escalate;
@@ -158,11 +123,30 @@ CampaignConfig MakeCampaignConfig(const ShardCampaignSpec& spec) {
   return cc;
 }
 
+CampaignSpec MakeCampaignSpec(const ShardCampaignSpec& spec,
+                              const apps::ProfileResult& profile) {
+  CampaignSpec cs;
+  cs.make_app = [app = spec.app, scale = spec.scale] {
+    return apps::MakeApp(app, scale);
+  };
+  cs.profile = &profile;
+  cs.scheme = spec.scheme;
+  cs.cover_objects =
+      spec.scheme == sim::Scheme::kNone
+          ? 0
+          : spec.cover.value_or(
+                static_cast<unsigned>(profile.hot.hot_objects.size()));
+  cs.object_names = spec.objects;
+  cs.allow_unsound = spec.allow_unsound;
+  return cs;
+}
+
 std::uint64_t CampaignFingerprint(const ShardCampaignSpec& spec,
                                   std::uint64_t trace_checksum) {
   std::ostringstream os;
-  os << "app=" << spec.app << "|scale=" << ScaleFlagName(spec.scale)
-     << "|scheme=" << SchemeFlagName(spec.scheme) << "|cover=";
+  os << "app=" << spec.app
+     << "|scale=" << NameOf(apps::kScaleNames, spec.scale)
+     << "|scheme=" << NameOf(sim::kSchemeNames, spec.scheme) << "|cover=";
   if (spec.cover.has_value()) {
     os << *spec.cover;
   } else {
@@ -171,7 +155,7 @@ std::uint64_t CampaignFingerprint(const ShardCampaignSpec& spec,
   os << "|objects=";
   for (const std::string& o : spec.objects) os << o << ',';
   os << "|unsound=" << (spec.allow_unsound ? 1 : 0)
-     << "|target=" << TargetFlagName(spec.target)
+     << "|target=" << NameOf(kTargetNames, spec.target)
      << "|blocks=" << spec.faulty_blocks << "|bits=" << spec.bits_per_block
      << "|runs=" << spec.runs << "|seed=" << spec.seed
      << "|retries=" << spec.recovery_retries
@@ -340,51 +324,31 @@ void Coordinator::Dispatch(unsigned s) {
   const bool coupled = CoupledAcrossTrials(spec_);
   if (coupled && s > 0) WriteHandoff(s);
   const bool first_attempt = state_[s].attempts == 0;
-  std::vector<std::string> argv = {
-      opts_.dcrm_binary,
-      "shard-worker",
-      spec_.app,
-      "--scale=" + std::string(ScaleFlagName(spec_.scale)),
-      "--scheme=" + std::string(SchemeFlagName(spec_.scheme)),
-      "--target=" + std::string(TargetFlagName(spec_.target)),
-      "--blocks=" + std::to_string(spec_.faulty_blocks),
-      "--bits=" + std::to_string(spec_.bits_per_block),
-      "--runs=" + std::to_string(spec_.runs),
-      "--seed=" + std::to_string(spec_.seed),
-      "--recovery=" + std::to_string(spec_.recovery_retries),
-      "--epoch=" + std::to_string(spec_.escalation_epoch),
-      "--jobs=" + std::to_string(spec_.jobs),
-      "--config=" + gpu_conf_path_,
-      "--load-trace=" + trace_path_,
-      "--shard-index=" + std::to_string(s),
-      "--trial-begin=" + std::to_string(plan_.Begin(s)),
-      "--trial-end=" + std::to_string(plan_.End(s, spec_.runs)),
-      "--fingerprint=" + std::to_string(fingerprint_),
-      "--out=" + ResultPath(opts_.workdir, s),
-  };
-  if (spec_.cover.has_value()) {
-    argv.push_back("--cover=" + std::to_string(*spec_.cover));
-  }
-  if (!spec_.objects.empty()) {
-    std::string joined;
-    for (const std::string& o : spec_.objects) {
-      if (!joined.empty()) joined += ',';
-      joined += o;
-    }
-    argv.push_back("--objects=" + joined);
-  }
-  if (spec_.allow_unsound) argv.push_back("--allow-unsound");
-  if (coupled && s > 0) {
-    argv.push_back("--ledger-in=" + HandoffPath(opts_.workdir, s));
-  }
+  // The worker re-derives the campaign from these flags, written by
+  // the same field tables its command line is parsed with.
+  RequestParams params;
+  params.campaign = spec_;
+  params.config_path = gpu_conf_path_;
+  params.trace_path = trace_path_;
+  WorkerOptions w;
+  w.shard_index = s;
+  w.trial_begin = plan_.Begin(s);
+  w.trial_end = plan_.End(s, spec_.runs);
+  w.fingerprint = fingerprint_;
+  w.out_path = ResultPath(opts_.workdir, s);
+  if (coupled && s > 0) w.ledger_in = HandoffPath(opts_.workdir, s);
   if (first_attempt && opts_.kill_shard >= 0 &&
       static_cast<unsigned>(opts_.kill_shard) == s) {
-    argv.push_back("--kill-after=" + std::to_string(opts_.kill_after));
+    w.kill_after = opts_.kill_after;
   }
   if (first_attempt && opts_.hang_shard >= 0 &&
       static_cast<unsigned>(opts_.hang_shard) == s) {
-    argv.push_back("--hang-after=" + std::to_string(opts_.hang_after));
+    w.hang_after = opts_.hang_after;
   }
+  std::vector<std::string> argv = {opts_.dcrm_binary, "shard-worker",
+                                   spec_.app};
+  AppendArgs(kRequestFields, params, argv);
+  AppendArgs(kWorkerFields, w, argv);
   Inflight f;
   f.shard = s;
   const std::string log = LogPath(opts_.workdir, s);
@@ -576,21 +540,10 @@ int RunShardWorker(const ShardCampaignSpec& spec, const WorkerOptions& opts) {
   const auto trace = trace::LoadTraceFromString(trace_bytes);
   auto app = apps::MakeApp(spec.app, spec.scale);
   const auto profile = apps::ProfileApp(*app, spec.gpu, {}, trace);
-  // Cover resolution mirrors `dcrm campaign` exactly; it is
-  // deterministic because every worker derives it from the same trace
-  // artifact.
-  unsigned cover = spec.cover.value_or(
-      static_cast<unsigned>(profile.hot.hot_objects.size()));
-  if (spec.scheme == sim::Scheme::kNone) cover = 0;
-
-  CampaignSpec cs;
-  cs.make_app = [&spec] { return apps::MakeApp(spec.app, spec.scale); };
-  cs.profile = &profile;
-  cs.scheme = spec.scheme;
-  cs.cover_objects = cover;
-  cs.object_names = spec.objects;
-  cs.allow_unsound = spec.allow_unsound;
-  ParallelCampaign campaign(std::move(cs), std::max(spec.jobs, 1u));
+  // Cover resolution is deterministic because every worker derives it
+  // from the same trace artifact.
+  ParallelCampaign campaign(MakeCampaignSpec(spec, profile),
+                            std::max(spec.jobs, 1u));
 
   const CampaignConfig cc = MakeCampaignConfig(spec);
   const bool coupled = cc.recovery.enabled && cc.recovery.escalate;

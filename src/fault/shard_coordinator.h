@@ -41,6 +41,8 @@
 
 namespace dcrm::fault {
 
+struct CampaignSpec;
+
 // The full campaign definition both sides of the process boundary
 // share. Everything that influences a trial's result is in here (or in
 // the trace artifact); the fingerprint covers both.
@@ -66,15 +68,17 @@ struct ShardCampaignSpec {
   sim::GpuConfig gpu;
 };
 
-const char* ScaleFlagName(apps::AppScale s);
-const char* SchemeFlagName(sim::Scheme s);
-const char* TargetFlagName(Target t);
-
 // True when Tier-2 escalation couples trials across shards, forcing
 // sequential dispatch with ledger hand-off.
 bool CoupledAcrossTrials(const ShardCampaignSpec& spec);
 
 CampaignConfig MakeCampaignConfig(const ShardCampaignSpec& spec);
+
+// The engine-side spec of this campaign over `profile`, with the cover
+// resolved the way every front end resolves it: all hot objects unless
+// `cover` says otherwise, none without a scheme.
+CampaignSpec MakeCampaignSpec(const ShardCampaignSpec& spec,
+                              const apps::ProfileResult& profile);
 
 // FNV-1a over the canonical parameter string plus the trace artifact's
 // own trailing checksum: two processes agree on the fingerprint iff

@@ -13,29 +13,18 @@
 #include "common/binio.h"
 #include "core/protection.h"
 #include "core/recovery.h"
+#include "fault/cross_check.h"
 #include "fault/parallel_campaign.h"
 #include "fault/shard_io.h"
 #include "mem/device_memory.h"
-#include "service/render.h"
 #include "sim/config_io.h"
+#include "trace/graph_stats.h"
 #include "trace/trace_io.h"
 #include "trace/trace_store.h"
 
 namespace dcrm::service {
 
 namespace {
-
-// A profiled application pinned in the cache: the App instance must
-// stay alive (and is mutated by driver runs, hence the single-executor
-// contract) alongside its ProfileResult.
-struct ProfileArtifact {
-  std::unique_ptr<apps::App> app;
-  apps::ProfileResult profile;
-  // Content checksum of the serialized trace store — the same value a
-  // --save-trace artifact of this profile would carry in its tail, so
-  // self-profiled and trace-backed requests meet at one identity.
-  std::uint64_t trace_checksum = 0;
-};
 
 std::string CoverMark(const std::optional<unsigned>& cover) {
   return cover.has_value() ? std::to_string(*cover) : "auto";
@@ -50,47 +39,20 @@ std::string ObjectsMark(const std::vector<std::string>& objects) {
   return s;
 }
 
-// The request's trace identity: the artifact's stored tail checksum
-// (an O(1) probe — the LoadTrace fast path this PR adds), or "self"
-// for daemon-profiled traces, which are deterministic per
-// (app, scale, gpu) and therefore content-stable without a checksum.
-std::string TraceMark(const RequestSpec& req) {
-  if (req.trace_path.empty()) return "self";
-  return std::to_string(trace::ProbeTraceTail(req.trace_path).checksum);
+// The trace artifact's stored tail checksum (an O(1) probe), 0 when
+// the app is profiled in process. Throws on an unreadable artifact.
+std::uint64_t TraceChecksum(const RequestSpec& req) {
+  return req.trace_path.empty()
+             ? 0
+             : trace::ProbeTraceTail(req.trace_path).checksum;
 }
 
-// CLI exit-code mapping (tools/dcrm_cli.cc main's catch ladder), as an
-// ok=false result instead of a process exit.
-ServedResult ErrorResult(const std::exception& e) {
-  ServedResult r;
-  r.ok = false;
-  if (const auto* u = dynamic_cast<const analysis::UnsoundPlanError*>(&e)) {
-    std::ostringstream os;
-    os << "error: " << u->what() << '\n';
-    analysis::WriteText(u->report(), os);
-    r.error = os.str();
-    r.exit_code = analysis::kExitViolations;
-    return r;
-  }
-  if (const auto* d = dynamic_cast<const core::DetectionTerminated*>(&e)) {
-    std::ostringstream os;
-    os << "reliability: detection terminated the run (pc=" << d->pc()
-       << ", addr=0x" << std::hex << d->addr() << std::dec << ")";
-    r.error = os.str();
-    r.exit_code = 3;
-    return r;
-  }
-  if (const auto* d = dynamic_cast<const mem::DueError*>(&e)) {
-    std::ostringstream os;
-    os << "reliability: SECDED uncorrectable error (addr=0x" << std::hex
-       << d->addr() << std::dec << ")";
-    r.error = os.str();
-    r.exit_code = 4;
-    return r;
-  }
-  r.error = std::string("error: ") + e.what();
-  r.exit_code = 1;
-  return r;
+// The request's trace identity: the artifact's checksum, or "self" for
+// in-process profiles, which are deterministic per (app, scale, gpu)
+// and therefore content-stable without a checksum.
+std::string TraceMark(const RequestSpec& req) {
+  if (req.trace_path.empty()) return "self";
+  return std::to_string(TraceChecksum(req));
 }
 
 std::uint64_t TablesBytes(const fault::CampaignTables& t) {
@@ -113,21 +75,6 @@ std::uint64_t ResultBytes(const ServedResult& r) {
   return r.text.size() + r.csv.size() + r.error.size() + 512;
 }
 
-}  // namespace
-
-ExecContext::ExecContext(ExecOptions opts)
-    : opts_(opts), cache_(opts.cache_bytes) {}
-
-BatchStats ExecContext::batch_stats() const {
-  BatchStats s;
-  s.groups = groups_.load(std::memory_order_relaxed);
-  s.grouped_requests = grouped_requests_.load(std::memory_order_relaxed);
-  s.trials_saved = trials_saved_.load(std::memory_order_relaxed);
-  return s;
-}
-
-namespace {
-
 sim::GpuConfig EffectiveGpu(const ExecOptions& opts, const RequestSpec& req) {
   sim::GpuConfig gpu = opts.gpu;
   if (req.engine.has_value()) gpu.engine = *req.engine;
@@ -138,22 +85,35 @@ sim::GpuConfig EffectiveGpu(const ExecOptions& opts, const RequestSpec& req) {
 // the per-type parameters. The gpu hash is FNV-1a over the full
 // DumpGpuConfig dump, so any config difference (including the engine
 // line) separates cache identities automatically.
-std::string BaseKey(const fault::ShardCampaignSpec& c,
-                    const sim::GpuConfig& gpu, const std::string& mark) {
-  return "app=" + c.app + "|scale=" + fault::ScaleFlagName(c.scale) +
-         "|gpu=" + std::to_string(bin::Fnv1a(sim::DumpGpuConfig(gpu))) +
-         "|trace=" + mark;
+std::string BaseKey(const ExecOptions& opts, const RequestSpec& req) {
+  const fault::ShardCampaignSpec& c = req.campaign;
+  const std::string gpu = sim::DumpGpuConfig(EffectiveGpu(opts, req));
+  return "app=" + c.app + "|scale=" + NameOf(apps::kScaleNames, c.scale) +
+         "|gpu=" + std::to_string(bin::Fnv1a(gpu)) +
+         "|trace=" + TraceMark(req);
 }
 
 std::string PlanParams(const fault::ShardCampaignSpec& c) {
-  return std::string("scheme=") + fault::SchemeFlagName(c.scheme) +
+  return std::string("scheme=") + NameOf(sim::kSchemeNames, c.scheme) +
          "|cover=" + CoverMark(c.cover) + "|objects=" +
          ObjectsMark(c.objects) + "|unsound=" + (c.allow_unsound ? "1" : "0");
 }
 
-std::string CampaignKey(std::uint64_t fingerprint, bool importance) {
+// The key of a finished campaign result. A cross-checked result
+// carries the gate's verdict too, so it gets its own key; a plain one
+// keeps the key it always had.
+std::string CampaignKey(std::uint64_t fingerprint, const RequestSpec& req) {
   return "campaign|" + std::to_string(fingerprint) +
-         "|is=" + (importance ? "1" : "0");
+         "|is=" + (req.importance_sampling ? "1" : "0") +
+         (req.cross_check ? "|xc=1" : "");
+}
+
+// The campaign's fingerprint under this context's gpu.
+std::uint64_t Fingerprint(const ExecOptions& opts, const RequestSpec& req,
+                          std::uint64_t trace_checksum) {
+  fault::ShardCampaignSpec eff = req.campaign;
+  eff.gpu = EffectiveGpu(opts, req);
+  return fault::CampaignFingerprint(eff, trace_checksum);
 }
 
 // The cache key of a request's finished result. Throws on an
@@ -161,24 +121,17 @@ std::string CampaignKey(std::uint64_t fingerprint, bool importance) {
 // reports it).
 std::string ResultKey(const ExecOptions& opts, const RequestSpec& req) {
   const fault::ShardCampaignSpec& c = req.campaign;
-  const sim::GpuConfig gpu = EffectiveGpu(opts, req);
   if (req.type == RequestType::kCampaign) {
-    fault::ShardCampaignSpec eff = c;
-    eff.gpu = gpu;
-    const std::uint64_t ck =
-        req.trace_path.empty()
-            ? 0
-            : trace::ProbeTraceTail(req.trace_path).checksum;
-    return CampaignKey(fault::CampaignFingerprint(eff, ck),
-                       req.importance_sampling);
+    return CampaignKey(Fingerprint(opts, req, TraceChecksum(req)), req);
   }
-  const std::string base = BaseKey(c, gpu, TraceMark(req));
+  const std::string base = BaseKey(opts, req);
   switch (req.type) {
     case RequestType::kProfile:
-      return "result|profile|" + base;
+      return "result|profile|" + base + (req.graph ? "|graph=1" : "");
     case RequestType::kTiming:
       return "result|timing|" + base + "|scheme=" +
-             fault::SchemeFlagName(c.scheme) + "|cover=" + CoverMark(c.cover);
+             NameOf(sim::kSchemeNames, c.scheme) + "|cover=" +
+             CoverMark(c.cover);
     case RequestType::kAnalyze:
       return "result|analyze|" + base + "|" + PlanParams(c);
     case RequestType::kAvf:
@@ -190,51 +143,74 @@ std::string ResultKey(const ExecOptions& opts, const RequestSpec& req) {
   }
 }
 
-// Loads-or-profiles the request's application, cached under the base
-// key. Trace-backed requests go through the "trace|<checksum>" store
-// cache: the O(1) tail probe decides identity, and the full
-// checksum-validating LoadTraceFile runs only on the first touch of
-// each distinct artifact.
-std::shared_ptr<const ProfileArtifact> ResolveProfile(
-    ArtifactCache& cache, const RequestSpec& req, const sim::GpuConfig& gpu,
-    const std::string& base) {
-  const std::string key = "profile|" + base;
-  if (auto hit = cache.Get<ProfileArtifact>(key)) return hit;
-
-  std::shared_ptr<const trace::TraceStore> preloaded;
-  std::uint64_t file_ck = 0;
-  if (!req.trace_path.empty()) {
-    file_ck = trace::ProbeTraceTail(req.trace_path).checksum;
-    const std::string trace_key = "trace|" + std::to_string(file_ck);
-    preloaded = cache.Get<trace::TraceStore>(trace_key);
-    if (preloaded == nullptr) {
-      preloaded = trace::LoadTraceFile(req.trace_path);
-      cache.Put(trace_key, preloaded, preloaded->FootprintBytes());
-    }
+// The `dcrm timing --csv` artifact: per-component statistics, one row
+// per component. Engine name and sim_ticks are deliberately omitted so
+// the CSVs of the two engines diff clean when (and only when) they are
+// bit-identical; cycles are global, so they appear on the total row
+// only.
+std::string TimingCsv(const apps::TimingDetail& d) {
+  std::ostringstream os;
+  os << "component,cycles,warp_insts_issued,mem_insts,transactions,"
+        "replica_transactions,l1_accesses,l1_hits,l1_pending_hits,"
+        "l1_misses,l2_accesses,l2_hits,l2_misses,replica_l2_hits,"
+        "replica_l2_misses,dram_reads,dram_writes,dram_row_hits,"
+        "mshr_stalls,compare_queue_stalls,comparisons\n";
+  const auto row = [&os](const std::string& name, const sim::GpuStats& s,
+                         std::uint64_t cycles) {
+    os << name << ',' << cycles << ',' << s.warp_insts_issued << ','
+       << s.mem_insts << ',' << s.transactions << ','
+       << s.replica_transactions << ',' << s.l1_accesses << ',' << s.l1_hits
+       << ',' << s.l1_pending_hits << ',' << s.l1_misses << ','
+       << s.l2_accesses << ',' << s.l2_hits << ',' << s.l2_misses << ','
+       << s.replica_l2_hits << ',' << s.replica_l2_misses << ','
+       << s.dram_reads << ',' << s.dram_writes << ',' << s.dram_row_hits
+       << ',' << s.mshr_stalls << ',' << s.compare_queue_stalls << ','
+       << s.comparisons << '\n';
+  };
+  row("total", d.total, d.total.cycles);
+  for (std::size_t i = 0; i < d.per_sm.size(); ++i) {
+    row("sm" + std::to_string(i), d.per_sm[i], 0);
   }
-
-  auto art = std::make_shared<ProfileArtifact>();
-  art->app = apps::MakeApp(req.campaign.app, req.campaign.scale);
-  art->profile = apps::ProfileApp(*art->app, gpu, {}, std::move(preloaded));
-  if (req.trace_path.empty()) {
-    // Publish the self-profiled store under its content-true identity
-    // too, so a later request replaying a --save-trace artifact of
-    // this same profile hits the cache instead of re-loading.
-    const std::string bytes =
-        trace::SaveTraceToString(*art->profile.trace_store);
-    art->trace_checksum = fault::TraceTailChecksum(bytes);
-    cache.Put("trace|" + std::to_string(art->trace_checksum),
-              art->profile.trace_store,
-              art->profile.trace_store->FootprintBytes());
-  } else {
-    art->trace_checksum = file_ck;
+  for (std::size_t i = 0; i < d.per_partition.size(); ++i) {
+    row("partition" + std::to_string(i), d.per_partition[i], 0);
   }
-  cache.Put(key, std::static_pointer_cast<const ProfileArtifact>(art),
-            ProfileBytes(*art));
-  return art;
+  return os.str();
 }
 
-// ---- Per-type handlers, each mirroring its CLI command body.
+// The campaign summary block: the header/counts lines, the
+// importance-sampling rescale line (when enabled and trials ran), and
+// the recovery line (when recovery is enabled). `sampling_share` is
+// FaultCampaign::SamplingShare for the configured target.
+std::string CampaignSummary(const fault::ShardCampaignSpec& c, unsigned cover,
+                            const fault::CampaignConfig& cc,
+                            const fault::CampaignCounts& counts,
+                            unsigned jobs, double sampling_share) {
+  std::ostringstream os;
+  const auto ci = counts.SdcCi();
+  os << c.app << " scheme=" << sim::SchemeName(c.scheme) << " cover=" << cover
+     << " blocks=" << cc.faulty_blocks << " bits=" << cc.bits_per_block
+     << " runs=" << counts.runs << " jobs=" << jobs << "\nSDC " << counts.sdc
+     << " (" << 100 * ci.p << "% +/- " << 100 * ci.margin << "%), detected "
+     << counts.detected << ", due " << counts.due << ", crash "
+     << counts.crash << ", masked " << counts.masked << ", corrections "
+     << counts.corrections << "\n";
+  if (cc.importance_sampling && counts.runs > 0) {
+    // Rates above are conditional on hitting an SDC-reachable block;
+    // the unconditional estimate rescales by the reachable share.
+    os << "importance sampling: reachable share " << sampling_share
+       << ", unconditional SDC estimate " << 100 * sampling_share * ci.p
+       << "% +/- " << 100 * sampling_share * ci.margin << "%\n";
+  }
+  if (cc.recovery.enabled) {
+    os << "recovered " << counts.recovered << ", reexec "
+       << counts.recovery.retries << ", retired "
+       << counts.recovery.retired_blocks << ", escalations "
+       << counts.recovery.escalations << "\n";
+  }
+  return os.str();
+}
+
+// ---- Per-type handlers.
 
 ServedResult DoProfile(const RequestSpec& req, const ProfileArtifact& art) {
   const apps::ProfileResult& profile = art.profile;
@@ -254,6 +230,12 @@ ServedResult DoProfile(const RequestSpec& req, const ProfileArtifact& art) {
      << "% of application memory, " << 100 * profile.hot.hot_access_share
      << "% of memory transactions\n";
   ServedResult r;
+  if (req.graph) {
+    trace::WriteGraphText(*profile.trace_store, os);
+    std::ostringstream csv;
+    trace::WriteGraphCsv(*profile.trace_store, csv);
+    r.csv = csv.str();
+  }
   r.text = os.str();
   return r;
 }
@@ -274,8 +256,8 @@ ServedResult DoTiming(const RequestSpec& req, const ProfileArtifact& art,
   std::ostringstream os;
   os << req.campaign.app
      << " scheme=" << sim::SchemeName(req.campaign.scheme)
-     << " cover=" << cover << " engine=" << sim::EngineName(gpu.engine)
-     << "\n"
+     << " cover=" << cover
+     << " engine=" << NameOf(sim::kEngineNames, gpu.engine) << "\n"
      << "cycles " << stats.cycles << " (baseline " << base_stats.cycles
      << ", overhead "
      << 100.0 * (static_cast<double>(stats.cycles) /
@@ -289,7 +271,7 @@ ServedResult DoTiming(const RequestSpec& req, const ProfileArtifact& art,
      << " (row hits " << stats.dram_row_hits << ")\n";
   ServedResult r;
   r.text = os.str();
-  r.csv = RenderTimingCsv(detail);
+  r.csv = TimingCsv(detail);
   return r;
 }
 
@@ -395,20 +377,100 @@ ServedResult DoAvf(const RequestSpec& req, const ProfileArtifact& art) {
 
 }  // namespace
 
+ServedResult ErrorResult(const std::exception& e) {
+  ServedResult r;
+  r.ok = false;
+  if (const auto* u = dynamic_cast<const analysis::UnsoundPlanError*>(&e)) {
+    std::ostringstream os;
+    os << "error: " << u->what() << '\n';
+    analysis::WriteText(u->report(), os);
+    r.error = os.str();
+    r.exit_code = analysis::kExitViolations;
+    return r;
+  }
+  if (const auto* d = dynamic_cast<const core::DetectionTerminated*>(&e)) {
+    std::ostringstream os;
+    os << "reliability: detection terminated the run (pc=" << d->pc()
+       << ", addr=0x" << std::hex << d->addr() << std::dec << ")";
+    r.error = os.str();
+    r.exit_code = 3;
+    return r;
+  }
+  if (const auto* d = dynamic_cast<const mem::DueError*>(&e)) {
+    std::ostringstream os;
+    os << "reliability: SECDED uncorrectable error (addr=0x" << std::hex
+       << d->addr() << std::dec << ")";
+    r.error = os.str();
+    r.exit_code = 4;
+    return r;
+  }
+  r.error = std::string("error: ") + e.what();
+  r.exit_code = 1;
+  return r;
+}
+
+ExecContext::ExecContext(ExecOptions opts)
+    : opts_(opts), cache_(opts.cache_bytes) {}
+
+BatchStats ExecContext::batch_stats() const {
+  BatchStats s;
+  s.groups = groups_.load(std::memory_order_relaxed);
+  s.grouped_requests = grouped_requests_.load(std::memory_order_relaxed);
+  s.trials_saved = trials_saved_.load(std::memory_order_relaxed);
+  return s;
+}
+
+// Trace-backed requests go through the "trace|<checksum>" store cache:
+// the O(1) tail probe decides identity, and the full
+// checksum-validating LoadTraceFile runs only on the first touch of
+// each distinct artifact.
+std::shared_ptr<const ProfileArtifact> ExecContext::ResolveProfile(
+    const RequestSpec& req) {
+  const std::string key = "profile|" + BaseKey(opts_, req);
+  if (auto hit = cache_.Get<ProfileArtifact>(key)) return hit;
+
+  std::shared_ptr<const trace::TraceStore> preloaded;
+  const std::uint64_t file_ck = TraceChecksum(req);
+  if (!req.trace_path.empty()) {
+    const std::string trace_key = "trace|" + std::to_string(file_ck);
+    preloaded = cache_.Get<trace::TraceStore>(trace_key);
+    if (preloaded == nullptr) {
+      preloaded = trace::LoadTraceFile(req.trace_path);
+      cache_.Put(trace_key, preloaded, preloaded->FootprintBytes());
+    }
+  }
+
+  auto art = std::make_shared<ProfileArtifact>();
+  art->app = apps::MakeApp(req.campaign.app, req.campaign.scale);
+  art->profile = apps::ProfileApp(*art->app, EffectiveGpu(opts_, req), {},
+                                  std::move(preloaded));
+  if (req.trace_path.empty()) {
+    // Publish the self-profiled store under its content-true identity
+    // too, so a later request replaying a --save-trace artifact of
+    // this same profile hits the cache instead of re-loading.
+    const std::string bytes =
+        trace::SaveTraceToString(*art->profile.trace_store);
+    art->trace_checksum = fault::TraceTailChecksum(bytes);
+    cache_.Put("trace|" + std::to_string(art->trace_checksum),
+               art->profile.trace_store,
+               art->profile.trace_store->FootprintBytes());
+  } else {
+    art->trace_checksum = file_ck;
+  }
+  cache_.Put(key, std::static_pointer_cast<const ProfileArtifact>(art),
+             ProfileBytes(*art));
+  return art;
+}
+
 std::uint64_t ExecContext::BatchKey(const RequestSpec& req) const {
   if (req.type != RequestType::kCampaign) return 0;
   // Tier-2 escalation couples trials: a prefix boundary inside a
   // coupled campaign changes when escalations apply. Never merge.
   if (req.campaign.recovery_retries > 0) return 0;
   try {
-    fault::ShardCampaignSpec eff = req.campaign;
-    eff.gpu = EffectiveGpu(opts_, req);
-    eff.runs = 0;  // requests differing only in trial count coalesce
-    const std::uint64_t ck =
-        req.trace_path.empty()
-            ? 0
-            : trace::ProbeTraceTail(req.trace_path).checksum;
-    std::uint64_t key = fault::CampaignFingerprint(eff, ck);
+    RequestSpec any_runs = req;  // requests differing only in runs merge
+    any_runs.campaign.runs = 0;
+    std::uint64_t key = Fingerprint(opts_, any_runs, TraceChecksum(req));
     if (req.importance_sampling) key ^= 0x9e3779b97f4a7c15ull;
     return key == 0 ? 1 : key;
   } catch (const std::exception&) {
@@ -416,17 +478,18 @@ std::uint64_t ExecContext::BatchKey(const RequestSpec& req) const {
   }
 }
 
+std::optional<ServedResult> ExecContext::CachedResult(const std::string& key) {
+  const auto hit = cache_.Get<ServedResult>(key);
+  if (hit == nullptr) return std::nullopt;
+  ServedResult copy = *hit;
+  copy.cached = true;
+  return copy;
+}
+
 std::optional<ServedResult> ExecContext::TryCached(const RequestSpec& req) {
-  if (req.type == RequestType::kStats || req.type == RequestType::kShutdown) {
-    return std::nullopt;
-  }
+  if (!RunsApp(req.type)) return std::nullopt;
   try {
-    const std::string key = ResultKey(opts_, req);
-    if (auto hit = cache_.Get<ServedResult>(key)) {
-      ServedResult copy = *hit;
-      copy.cached = true;
-      return copy;
-    }
+    return CachedResult(ResultKey(opts_, req));
   } catch (const std::exception&) {
     // Probe failures (e.g. unreadable trace) fall through to the slow
     // path, which reports them properly.
@@ -443,24 +506,18 @@ ServedResult ExecContext::Execute(const RequestSpec& req) {
     // Re-probe under the executor: an identical request may have
     // filled the cache between the connection thread's probe and now.
     const std::string key = ResultKey(opts_, req);
-    if (auto hit = cache_.Get<ServedResult>(key)) {
-      ServedResult copy = *hit;
-      copy.cached = true;
-      return copy;
-    }
-    const sim::GpuConfig gpu = EffectiveGpu(opts_, req);
-    const std::string base = BaseKey(req.campaign, gpu, TraceMark(req));
-    const auto art = ResolveProfile(cache_, req, gpu, base);
+    if (auto hit = CachedResult(key)) return *hit;
+    const auto art = ResolveProfile(req);
     ServedResult r;
     switch (req.type) {
       case RequestType::kProfile:
         r = DoProfile(req, *art);
         break;
       case RequestType::kTiming:
-        r = DoTiming(req, *art, gpu);
+        r = DoTiming(req, *art, EffectiveGpu(opts_, req));
         break;
       case RequestType::kAnalyze:
-        r = DoAnalyze(req, *art, gpu);
+        r = DoAnalyze(req, *art, EffectiveGpu(opts_, req));
         break;
       case RequestType::kAvf:
         r = DoAvf(req, *art);
@@ -487,9 +544,8 @@ std::vector<ServedResult> ExecContext::ExecuteCampaignBatch(
       out[i] = ErrorResult(e);
       continue;
     }
-    if (auto hit = cache_.Get<ServedResult>(keys[i])) {
+    if (auto hit = CachedResult(keys[i])) {
       out[i] = *hit;
-      out[i].cached = true;
     } else {
       miss.push_back(i);
     }
@@ -501,31 +557,15 @@ std::vector<ServedResult> ExecContext::ExecuteCampaignBatch(
   const RequestSpec& lead = reqs[miss.front()];
   const bool merged = miss.size() > 1;
   try {
-    const sim::GpuConfig gpu = EffectiveGpu(opts_, lead);
-    const std::string base = BaseKey(lead.campaign, gpu, TraceMark(lead));
-    const auto art = ResolveProfile(cache_, lead, gpu, base);
+    const auto art = ResolveProfile(lead);
     const apps::ProfileResult& profile = art->profile;
-    unsigned cover = lead.campaign.cover.value_or(
-        static_cast<unsigned>(profile.hot.hot_objects.size()));
-    if (lead.campaign.scheme == sim::Scheme::kNone) cover = 0;
+    fault::CampaignSpec spec = fault::MakeCampaignSpec(lead.campaign, profile);
+    const unsigned cover = spec.cover_objects;
 
-    const std::string tables_key = "tables|" + base + "|" +
-                                   PlanParams(lead.campaign);
-    auto shared_tables = cache_.Get<fault::CampaignTables>(tables_key);
-    const bool had_tables = shared_tables != nullptr;
-
-    fault::CampaignSpec spec;
-    const std::string app_name = lead.campaign.app;
-    const apps::AppScale scale = lead.campaign.scale;
-    spec.make_app = [app_name, scale] {
-      return apps::MakeApp(app_name, scale);
-    };
-    spec.profile = &profile;
-    spec.scheme = lead.campaign.scheme;
-    spec.cover_objects = cover;
-    spec.object_names = lead.campaign.objects;
-    spec.allow_unsound = lead.campaign.allow_unsound;
-    spec.shared_tables = std::move(shared_tables);
+    const std::string tables_key =
+        "tables|" + BaseKey(opts_, lead) + "|" + PlanParams(lead.campaign);
+    spec.shared_tables = cache_.Get<fault::CampaignTables>(tables_key);
+    const bool had_tables = spec.shared_tables != nullptr;
     fault::ParallelCampaign campaign(std::move(spec), opts_.jobs);
     if (!had_tables) {
       auto tables = campaign.front().tables();
@@ -540,11 +580,7 @@ std::vector<ServedResult> ExecContext::ExecuteCampaignBatch(
     // artifact would compute.
     const auto alt_key = [&](const RequestSpec& req) -> std::string {
       if (!req.trace_path.empty()) return {};
-      fault::ShardCampaignSpec eff = req.campaign;
-      eff.gpu = gpu;
-      return CampaignKey(
-          fault::CampaignFingerprint(eff, art->trace_checksum),
-          req.importance_sampling);
+      return CampaignKey(Fingerprint(opts_, req, art->trace_checksum), req);
     };
     const auto publish = [&](std::size_t i, const ServedResult& r) {
       auto entry = std::make_shared<const ServedResult>(r);
@@ -589,6 +625,7 @@ std::vector<ServedResult> ExecContext::ExecuteCampaignBatch(
 
     fault::EngineOptions eo;
     eo.max_wave = 512;
+    eo.stop = opts_.stop;
     const auto prefixes = campaign.RunPrefixes(cc, ends, eo);
 
     const double share = cc.importance_sampling
@@ -597,19 +634,39 @@ std::vector<ServedResult> ExecContext::ExecuteCampaignBatch(
     std::ostringstream kernel_stats;
     trace::WriteKernelStatsText(*profile.trace_store, kernel_stats);
     for (const std::size_t i : miss) {
+      const RequestSpec& req = reqs[i];
       const auto it =
           std::find_if(prefixes.begin(), prefixes.end(), [&](const auto& p) {
-            return p.end == reqs[i].campaign.runs;
+            return p.end == req.campaign.runs;
           });
+      fault::CampaignConfig own = cc;
+      own.runs = req.campaign.runs;
       ServedResult r;
       r.batched = merged;
-      r.text = RenderCampaignSummary(reqs[i].campaign.app,
-                                     reqs[i].campaign.scheme, cover, cc,
-                                     it->counts, campaign.jobs(), share) +
+      r.text = CampaignSummary(req.campaign, cover, own, it->counts,
+                               campaign.jobs(), share) +
                kernel_stats.str();
       std::ostringstream csv;
       fault::WriteCountsCsv(it->counts, it->ledger, csv);
       r.csv = csv.str();
+      if (it->counts.runs < own.runs) {
+        // Stopped at a wave boundary: whole epochs only, never cached.
+        r.ok = false;
+        r.exit_code = fault::kExitInterrupted;
+        r.error = "interrupted: " + std::to_string(it->counts.runs) + "/" +
+                  std::to_string(own.runs) +
+                  " trials completed (counts above are the partial totals)";
+        out[i] = r;
+        continue;
+      }
+      if (req.cross_check) {
+        const auto check =
+            fault::CrossCheckCounts(campaign.front(), own, it->counts);
+        std::ostringstream os;
+        fault::WriteCrossCheckText(check, os);
+        r.text += os.str();
+        if (!check.Pass()) r.exit_code = fault::kExitBoundsViolated;
+      }
       out[i] = r;
       ServedResult stored = r;
       stored.batched = false;  // identity is content, not how it ran

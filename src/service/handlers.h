@@ -1,16 +1,18 @@
-// Request execution for the reliability daemon (DESIGN.md §14).
+// Request execution (DESIGN.md §14): the one implementation of
+// profile, timing, analyze, avf and campaign.
 //
-// ExecContext owns the content-addressed ArtifactCache and knows how
-// to run every request type exactly the way the standalone CLI does —
-// same driver calls, same cover resolution, same rendering (via
-// service/render.h), so a served response is bit-identical to the
-// standalone command's stdout/CSV.
+// ExecContext owns the content-addressed ArtifactCache and runs every
+// request type. The daemon calls it from its scheduler's executor
+// thread; `dcrm profile|timing|analyze|avf|campaign` build one in
+// process and print its result. A served response is therefore
+// bit-identical to the standalone command's stdout and CSV: both are
+// the same code.
 //
 // Two layers of reuse:
 //  * TryCached is the connection-thread fast path: a pure cache probe
 //    (trace identity via the O(1) checksum-tail probe, campaign
-//    identity via PR 6's CampaignFingerprint) that never executes
-//    anything and never throws.
+//    identity via CampaignFingerprint) that never executes anything
+//    and never throws.
 //  * ExecuteCampaignBatch is the scheduler's coalescing primitive:
 //    requests for the SAME campaign fingerprint (modulo trial count)
 //    run as ONE engine invocation over the longest requested trial
@@ -19,29 +21,33 @@
 //    max(runs) trials instead of sum(runs).
 //
 // Threading contract: TryCached / BatchKey / stats accessors are safe
-// from any thread (the cache has its own lock); Execute and
-// ExecuteCampaignBatch must run on a single executor thread (the
-// RequestScheduler's), because cached profile artifacts hold live App
-// instances that the driver mutates during runs.
+// from any thread (the cache has its own lock); Execute,
+// ExecuteCampaignBatch and ResolveProfile must run on a single
+// executor thread (the RequestScheduler's), because cached profile
+// artifacts hold live App instances that the driver mutates during
+// runs.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "apps/driver.h"
 #include "service/artifact_cache.h"
 #include "service/proto.h"
 
 namespace dcrm::service {
 
-// One served request: the standalone command's exit code, stdout text
-// and --csv artifact, plus the service-path markers.
+// One executed request: the standalone command's exit code, stdout
+// text and --csv artifact, plus the service-path markers.
 struct ServedResult {
   bool ok = true;
-  std::string error;  // set when !ok (what the CLI printed to stderr)
+  std::string error;  // set when !ok: what the command prints to stderr
   int exit_code = 0;
   bool cached = false;   // served from the artifact cache
   bool batched = false;  // coalesced into a merged campaign run
@@ -51,11 +57,16 @@ struct ServedResult {
 
 struct ExecOptions {
   std::uint64_t cache_bytes = 256ull * 1024 * 1024;
-  sim::GpuConfig gpu;  // daemon-wide base config
+  sim::GpuConfig gpu;  // base config; a request may override the engine
   // In-process campaign lanes. Results are bit-identical at any value;
-  // it only shows in the summary's "jobs=" field, so keep the default
-  // 1 to match plain `dcrm campaign`.
+  // it only shows in the summary's "jobs=" field.
   unsigned jobs = 1;
+  // Campaign engine stop flag (fault::EngineOptions::stop). A set flag
+  // drains the campaign at the next wave boundary; the result is the
+  // partial counts with exit code 7, and it is never cached. The CLI
+  // passes its SIGINT flag; the daemon drains by finishing its queue
+  // instead and passes null.
+  const std::atomic<bool>* stop = nullptr;
 };
 
 // Coalescing counters (the bench's merge-efficiency numbers).
@@ -64,6 +75,23 @@ struct BatchStats {
   std::uint64_t grouped_requests = 0;  // requests served via a merge
   std::uint64_t trials_saved = 0;      // sum(runs) - max(runs), summed
 };
+
+// A profiled application pinned in the cache: the App instance must
+// stay alive (and is mutated by driver runs, hence the single-executor
+// contract) alongside its ProfileResult.
+struct ProfileArtifact {
+  std::unique_ptr<apps::App> app;
+  apps::ProfileResult profile;
+  // Content checksum of the serialized trace store — the same value a
+  // --save-trace artifact of this profile would carry in its tail, so
+  // self-profiled and trace-backed requests meet at one identity.
+  std::uint64_t trace_checksum = 0;
+};
+
+// The CLI's exit-code mapping of a failure, as an ok=false result:
+// 6 for a refused unsound plan (with the analyzer report), 3 for a
+// detection-terminated run, 4 for a SECDED DUE, 1 otherwise.
+ServedResult ErrorResult(const std::exception& e);
 
 class ExecContext {
  public:
@@ -83,8 +111,7 @@ class ExecContext {
   std::optional<ServedResult> TryCached(const RequestSpec& req);
 
   // Runs one request end to end (campaigns go through a singleton
-  // batch). Never throws: failures come back as ok=false results with
-  // the CLI's exit-code mapping.
+  // batch). Never throws: failures come back as ErrorResult.
   ServedResult Execute(const RequestSpec& req);
 
   // Runs a group of campaign requests with identical BatchKey as one
@@ -94,10 +121,19 @@ class ExecContext {
   std::vector<ServedResult> ExecuteCampaignBatch(
       std::span<const RequestSpec> reqs);
 
+  // Loads or profiles the request's application, cached under its
+  // (app, scale, gpu, trace) identity. Throws on failure. `dcrm
+  // profile --save/--save-trace` read the profile through this.
+  std::shared_ptr<const ProfileArtifact> ResolveProfile(
+      const RequestSpec& req);
+
   ArtifactCache& cache() { return cache_; }
   BatchStats batch_stats() const;
 
  private:
+  // The cached result under `key`, marked cached.
+  std::optional<ServedResult> CachedResult(const std::string& key);
+
   ExecOptions opts_;
   ArtifactCache cache_;
   std::atomic<std::uint64_t> groups_{0};

@@ -1,6 +1,9 @@
 #include "service/proto.h"
 
+#include <algorithm>
 #include <limits>
+#include <type_traits>
+#include <variant>
 
 #include "common/json.h"
 
@@ -10,53 +13,11 @@ namespace {
 
 [[noreturn]] void Fail(const std::string& what) { throw ProtoError(what); }
 
-// Bounds on untrusted numerics: generous for real use, tight enough
-// that a hostile request cannot make the daemon allocate or loop
-// absurdly.
-constexpr std::int64_t kMaxRuns = 100'000'000;
-constexpr std::int64_t kMaxSmallCount = 1'000'000;
-constexpr std::size_t kMaxNameBytes = 256;
-constexpr std::size_t kMaxPathBytes = 4096;
-constexpr std::size_t kMaxObjects = 256;
-
-RequestType ParseType(const std::string& s) {
-  const std::optional<RequestType> t = RequestTypeFromName(s);
-  if (!t.has_value()) Fail("unknown request type: " + s);
-  return *t;
-}
-
-apps::AppScale ParseScale(const std::string& s) {
-  if (s == "tiny") return apps::AppScale::kTiny;
-  if (s == "small") return apps::AppScale::kSmall;
-  if (s == "medium") return apps::AppScale::kMedium;
-  Fail("unknown scale: " + s);
-}
-
-sim::Scheme ParseScheme(const std::string& s) {
-  if (s == "none") return sim::Scheme::kNone;
-  if (s == "detect") return sim::Scheme::kDetectOnly;
-  if (s == "correct") return sim::Scheme::kDetectCorrect;
-  Fail("unknown scheme: " + s);
-}
-
-fault::Target ParseTarget(const std::string& s) {
-  if (s == "hot") return fault::Target::kHotBlocks;
-  if (s == "rest") return fault::Target::kRestBlocks;
-  if (s == "miss") return fault::Target::kMissWeighted;
-  Fail("unknown target: " + s);
-}
-
-sim::SimEngine ParseEngine(const std::string& s) {
-  if (s == "cycle") return sim::SimEngine::kCycleStepped;
-  if (s == "event") return sim::SimEngine::kEventDriven;
-  Fail("unknown engine: " + s);
-}
-
 const std::string& Str(const json::Value& v, const char* key,
-                       std::size_t max_bytes) {
+                       std::int64_t max_bytes) {
   if (!v.IsString()) Fail(std::string(key) + " must be a string");
   const std::string& s = v.AsString();
-  if (s.empty() || s.size() > max_bytes) {
+  if (s.empty() || static_cast<std::int64_t>(s.size()) > max_bytes) {
     Fail(std::string(key) + " length out of range");
   }
   return s;
@@ -75,61 +36,91 @@ bool Bool(const json::Value& v, const char* key) {
   return v.AsBool();
 }
 
+// A row's wire value: JSON integers for numbers (a u64 rides as its
+// int64 bit pattern; JSON doubles would round it), true for a set
+// switch, an array for a list, the flag text otherwise. nullopt for an
+// unset row, which is left out.
+std::optional<json::Value> WireValue(fault::FieldRef ref) {
+  const std::optional<std::string> text = fault::FieldText(ref);
+  if (!text.has_value()) return std::nullopt;
+  return std::visit(
+      [&](auto* p) -> json::Value {
+        using M = std::remove_pointer_t<decltype(p)>;
+        if constexpr (std::is_same_v<M, bool>) {
+          return true;
+        } else if constexpr (std::is_same_v<M, std::vector<std::string>>) {
+          json::Value a = json::Value::MakeArray();
+          for (const std::string& item : *p) a.Push(item);
+          return a;
+        } else if constexpr (std::is_same_v<M, std::uint64_t>) {
+          return static_cast<std::int64_t>(*p);
+        } else if constexpr (std::is_same_v<M, unsigned> ||
+                             std::is_same_v<M, int>) {
+          return *p;
+        } else if constexpr (std::is_same_v<M, std::optional<unsigned>>) {
+          return p->value();
+        } else {
+          return *text;
+        }
+      },
+      ref);
+}
+
+void SetFromWire(const fault::Field<fault::RequestParams>& f,
+                 fault::RequestParams& params, const json::Value& v) {
+  const fault::FieldRef ref = f.member(params);
+  std::visit(
+      [&](auto* p) {
+        using M = std::remove_pointer_t<decltype(p)>;
+        if constexpr (std::is_same_v<M, bool>) {
+          *p = Bool(v, f.key);
+        } else if constexpr (std::is_same_v<M, std::vector<std::string>>) {
+          if (!v.IsArray()) Fail(std::string(f.key) + " must be an array");
+          const json::Array& a = v.AsArray();
+          const auto n = static_cast<std::int64_t>(a.size());
+          if (n < f.lo || n > f.hi) Fail(std::string(f.key) + " out of range");
+          p->clear();
+          for (const json::Value& item : a) {
+            p->push_back(Str(item, f.key, fault::kMaxNameBytes));
+          }
+        } else if constexpr (std::is_same_v<M, std::uint64_t>) {
+          if (!v.IsInt()) Fail(std::string(f.key) + " must be an integer");
+          *p = static_cast<std::uint64_t>(v.AsInt());
+        } else {
+          // Numbers go through their decimal text, so the row's own
+          // parser checks the range, as on the command line.
+          std::string text;
+          if constexpr (std::is_same_v<M, unsigned> ||
+                        std::is_same_v<M, int> ||
+                        std::is_same_v<M, std::optional<unsigned>>) {
+            if (!v.IsInt()) Fail(std::string(f.key) + " must be an integer");
+            text = std::to_string(v.AsInt());
+          } else {  // strings and enums
+            text = Str(v, f.key,
+                       std::is_same_v<M, std::string> ? f.hi
+                                                      : fault::kMaxNameBytes);
+          }
+          if (!fault::SetFieldText(ref, f.lo, f.hi, text)) {
+            Fail(std::string("invalid ") + f.key + ": " + text);
+          }
+        }
+      },
+      ref);
+}
+
 }  // namespace
 
-std::optional<RequestType> RequestTypeFromName(const std::string& name) {
-  if (name == "profile") return RequestType::kProfile;
-  if (name == "timing") return RequestType::kTiming;
-  if (name == "analyze") return RequestType::kAnalyze;
-  if (name == "avf") return RequestType::kAvf;
-  if (name == "campaign") return RequestType::kCampaign;
-  if (name == "stats") return RequestType::kStats;
-  if (name == "shutdown") return RequestType::kShutdown;
-  return std::nullopt;
-}
-
-const char* RequestTypeName(RequestType t) {
-  switch (t) {
-    case RequestType::kProfile: return "profile";
-    case RequestType::kTiming: return "timing";
-    case RequestType::kAnalyze: return "analyze";
-    case RequestType::kAvf: return "avf";
-    case RequestType::kCampaign: return "campaign";
-    case RequestType::kStats: return "stats";
-    case RequestType::kShutdown: return "shutdown";
-  }
-  return "?";
-}
-
 std::string EncodeRequest(const RequestSpec& req) {
-  const fault::ShardCampaignSpec& c = req.campaign;
   json::Value o = json::Value::MakeObject();
-  o.Set("type", RequestTypeName(req.type));
-  if (req.type == RequestType::kStats || req.type == RequestType::kShutdown) {
-    return o.Dump();
+  o.Set("type", NameOf(kRequestTypeNames, req.type));
+  if (!RunsApp(req.type)) return o.Dump();
+  o.Set("app", req.campaign.app);
+  // Rows only read through the pointer here.
+  auto& params = const_cast<RequestSpec&>(req);
+  for (const auto& f : fault::kRequestFields) {
+    if (f.key == nullptr) continue;
+    if (auto v = WireValue(f.member(params))) o.Set(f.key, std::move(*v));
   }
-  o.Set("app", c.app);
-  o.Set("scale", fault::ScaleFlagName(c.scale));
-  o.Set("scheme", fault::SchemeFlagName(c.scheme));
-  if (c.cover.has_value()) o.Set("cover", *c.cover);
-  if (!c.objects.empty()) {
-    json::Value a = json::Value::MakeArray();
-    for (const std::string& name : c.objects) a.Push(name);
-    o.Set("objects", std::move(a));
-  }
-  if (c.allow_unsound) o.Set("allow_unsound", true);
-  o.Set("target", fault::TargetFlagName(c.target));
-  o.Set("blocks", c.faulty_blocks);
-  o.Set("bits", c.bits_per_block);
-  o.Set("runs", c.runs);
-  o.Set("seed", static_cast<std::int64_t>(c.seed));
-  o.Set("recovery", c.recovery_retries);
-  o.Set("epoch", c.escalation_epoch);
-  if (req.importance_sampling) o.Set("importance_sampling", true);
-  if (req.engine.has_value()) {
-    o.Set("engine", sim::EngineName(*req.engine));
-  }
-  if (!req.trace_path.empty()) o.Set("trace", req.trace_path);
   return o.Dump();
 }
 
@@ -147,60 +138,29 @@ RequestSpec DecodeRequest(const std::string& payload) {
   bool saw_app = false;
   for (const auto& [key, v] : root.AsObject()) {
     if (key == "type") {
-      req.type = ParseType(Str(v, "type", kMaxNameBytes));
+      const std::string& name = Str(v, "type", fault::kMaxNameBytes);
+      const std::optional<RequestType> t = ValueOf(kRequestTypeNames, name);
+      if (!t.has_value()) Fail("unknown request type: " + name);
+      req.type = *t;
       saw_type = true;
-    } else if (key == "app") {
-      req.campaign.app = Str(v, "app", kMaxNameBytes);
+      continue;
+    }
+    if (key == "app") {
+      req.campaign.app = Str(v, "app", fault::kMaxNameBytes);
       saw_app = true;
-    } else if (key == "scale") {
-      req.campaign.scale = ParseScale(Str(v, "scale", kMaxNameBytes));
-    } else if (key == "scheme") {
-      req.campaign.scheme = ParseScheme(Str(v, "scheme", kMaxNameBytes));
-    } else if (key == "cover") {
-      req.campaign.cover =
-          static_cast<unsigned>(Int(v, "cover", 0, kMaxSmallCount));
-    } else if (key == "objects") {
-      if (!v.IsArray()) Fail("objects must be an array");
-      if (v.AsArray().size() > kMaxObjects) Fail("objects out of range");
-      for (const json::Value& name : v.AsArray()) {
-        req.campaign.objects.push_back(Str(name, "objects[]", kMaxNameBytes));
-      }
-    } else if (key == "allow_unsound") {
-      req.campaign.allow_unsound = Bool(v, "allow_unsound");
-    } else if (key == "target") {
-      req.campaign.target = ParseTarget(Str(v, "target", kMaxNameBytes));
-    } else if (key == "blocks") {
-      req.campaign.faulty_blocks =
-          static_cast<unsigned>(Int(v, "blocks", 1, kMaxSmallCount));
-    } else if (key == "bits") {
-      req.campaign.bits_per_block =
-          static_cast<unsigned>(Int(v, "bits", 1, kMaxSmallCount));
-    } else if (key == "runs") {
-      req.campaign.runs = static_cast<unsigned>(Int(v, "runs", 1, kMaxRuns));
-    } else if (key == "seed") {
-      if (!v.IsInt()) Fail("seed must be an integer");
-      req.campaign.seed = static_cast<std::uint64_t>(v.AsInt());
-    } else if (key == "recovery") {
-      req.campaign.recovery_retries =
-          static_cast<unsigned>(Int(v, "recovery", 0, kMaxSmallCount));
-    } else if (key == "epoch") {
-      req.campaign.escalation_epoch =
-          static_cast<unsigned>(Int(v, "epoch", 1, kMaxSmallCount));
-    } else if (key == "importance_sampling") {
-      req.importance_sampling = Bool(v, "importance_sampling");
-    } else if (key == "engine") {
-      req.engine = ParseEngine(Str(v, "engine", kMaxNameBytes));
-    } else if (key == "trace") {
-      req.trace_path = Str(v, "trace", kMaxPathBytes);
-    } else {
+      continue;
+    }
+    const auto row = std::find_if(
+        fault::kRequestFields.begin(), fault::kRequestFields.end(),
+        [&](const auto& f) { return f.key != nullptr && key == f.key; });
+    if (row == fault::kRequestFields.end()) {
       Fail("unknown request key: " + key);
     }
+    SetFromWire(*row, req, v);
   }
   if (!saw_type) Fail("request is missing \"type\"");
-  const bool needs_app = req.type != RequestType::kStats &&
-                         req.type != RequestType::kShutdown;
-  if (needs_app && !saw_app) {
-    Fail(std::string(RequestTypeName(req.type)) +
+  if (RunsApp(req.type) && !saw_app) {
+    Fail(std::string(NameOf(kRequestTypeNames, req.type)) +
          " request is missing \"app\"");
   }
   return req;

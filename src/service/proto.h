@@ -1,21 +1,23 @@
 // Wire protocol of the reliability service (DESIGN.md §14).
 //
 // One request or response per frame (common/socket.h framing: u32 LE
-// length + payload), payload a flat JSON object (common/json.h). The
-// request vocabulary is exactly the standalone CLI's flag vocabulary —
-// a request names the same campaign definition `dcrm campaign` would
-// parse, so the daemon can promise bit-identical results — and decodes
-// into the same ShardCampaignSpec the sharded coordinator uses, which
-// is what makes PR 6's CampaignFingerprint the service's natural cache
-// key.
+// length + payload), payload a flat JSON object (common/json.h). A
+// request is its type, its app and one key per set row of the field
+// table in fault/request_fields.h — the table the CLI parses its flags
+// with, so a request names exactly the campaign definition `dcrm
+// campaign` would parse and the daemon can promise bit-identical
+// results. It decodes into the same ShardCampaignSpec the sharded
+// coordinator uses, which is what makes CampaignFingerprint the
+// service's natural cache key.
 //
 // Robustness rules the decoder enforces on untrusted bytes:
 //  * requests are capped at kMaxRequestBytes before allocation
 //    (FrameTooLarge drops the connection — the stream cannot be
 //    resynchronized past an unconsumed oversized frame);
 //  * unknown keys, wrong types, missing required fields and
-//    out-of-range numerics all throw ProtoError, which the server maps
-//    to an ok=false response without killing the daemon;
+//    out-of-range values (the field table's ranges, the same ones the
+//    CLI enforces) all throw ProtoError, which the server maps to an
+//    ok=false response without killing the daemon;
 //  * uint64 seeds ride as int64 bit patterns (lossless two's-complement
 //    round trip; JSON doubles would silently round them).
 #pragma once
@@ -25,7 +27,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "fault/shard_coordinator.h"
+#include "common/enum_names.h"
+#include "fault/request_fields.h"
 
 namespace dcrm::service {
 
@@ -54,28 +57,26 @@ enum class RequestType : std::uint8_t {
   kShutdown,  // graceful drain; the daemon answers, then stops
 };
 
-const char* RequestTypeName(RequestType t);
-// nullopt for an unknown name (the CLI's `dcrm request <type>` parse).
-std::optional<RequestType> RequestTypeFromName(const std::string& name);
+inline constexpr EnumName<RequestType> kRequestTypeNames[] = {
+    {"profile", RequestType::kProfile},
+    {"timing", RequestType::kTiming},
+    {"analyze", RequestType::kAnalyze},
+    {"avf", RequestType::kAvf},
+    {"campaign", RequestType::kCampaign},
+    {"stats", RequestType::kStats},
+    {"shutdown", RequestType::kShutdown},
+};
 
-// One decoded request. The campaign spec doubles as the parameter
-// carrier for every analysis type (app/scale/scheme/cover/objects/gpu
-// are common; target/blocks/bits/runs/seed/recovery/epoch matter to
-// campaign, blocks/bits also to avf) — identical to how CliArgs feeds
-// every CLI command from one flag set.
-struct RequestSpec {
+// Every type but stats and shutdown runs an app, which it then names.
+inline bool RunsApp(RequestType t) {
+  return t != RequestType::kStats && t != RequestType::kShutdown;
+}
+
+// One decoded request: its type plus the field-table parameters. The
+// daemon runs its own base GpuConfig, so campaign.gpu and config_path
+// never cross the wire; trace_path is a daemon-local path.
+struct RequestSpec : fault::RequestParams {
   RequestType type = RequestType::kStats;
-  fault::ShardCampaignSpec campaign;
-  bool importance_sampling = false;
-  // Replay-engine override (--engine=cycle|event). The daemon runs its
-  // own base GpuConfig; a request may switch engines — bit-identical
-  // results by the engine differential contract, but a distinct cache
-  // identity (the gpu hash covers the engine line).
-  std::optional<sim::SimEngine> engine;
-  // Daemon-local path of a saved trace artifact to replay, as
-  // --load-trace; empty = the daemon profiles the app itself (and
-  // caches that).
-  std::string trace_path;
 };
 
 // What the daemon sends back for any request.

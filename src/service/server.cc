@@ -10,6 +10,22 @@
 
 namespace dcrm::service {
 
+namespace {
+
+std::string EncodeServed(const ServedResult& r) {
+  Response resp;
+  resp.ok = r.ok;
+  resp.error = r.error;
+  resp.exit_code = r.exit_code;
+  resp.cached = r.cached;
+  resp.batched = r.batched;
+  resp.text = r.text;
+  resp.csv = r.csv;
+  return EncodeResponse(resp);
+}
+
+}  // namespace
+
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)), ctx_(opts_.exec), sched_(ctx_) {}
 
@@ -35,14 +51,12 @@ void Server::Join() {
   // connection threads blocked on futures unblock as their batches
   // complete, write their responses, then see the stop flag.
   sched_.Drain();
-  std::vector<std::thread> threads;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
+    conns.swap(conns_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& c : conns) c.thread.join();
   if (started_) {
     listener_.Close();
     ::unlink(opts_.socket_path.c_str());
@@ -58,12 +72,26 @@ void Server::AcceptLoop() {
     } catch (const net::SocketError&) {
       break;  // listener died; the daemon drains
     }
+    ReapFinished();
     if (!conn.has_value()) continue;
     std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back(
-        [this, c = std::move(*conn)]() mutable {
-          HandleConnection(std::move(c));
-        });
+    Connection& slot = conns_.emplace_back();
+    slot.thread = std::thread([this, &slot, c = std::move(*conn)]() mutable {
+      HandleConnection(std::move(c));
+      slot.done.store(true, std::memory_order_release);
+    });
+  }
+}
+
+void Server::ReapFinished() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -159,16 +187,7 @@ std::string Server::DispatchFrame(const std::string& frame) {
 
   // Fast path: repeat requests are answered on this connection thread
   // straight from the cache, never queueing behind running campaigns.
-  if (auto hit = ctx_.TryCached(req)) {
-    resp.ok = hit->ok;
-    resp.error = hit->error;
-    resp.exit_code = hit->exit_code;
-    resp.cached = true;
-    resp.batched = hit->batched;
-    resp.text = hit->text;
-    resp.csv = hit->csv;
-    return EncodeResponse(resp);
-  }
+  if (auto hit = ctx_.TryCached(req)) return EncodeServed(*hit);
 
   std::future<ServedResult> fut;
   try {
@@ -177,15 +196,7 @@ std::string Server::DispatchFrame(const std::string& frame) {
     resp.error = e.what();  // "service is draining"
     return EncodeResponse(resp);
   }
-  const ServedResult r = fut.get();
-  resp.ok = r.ok;
-  resp.error = r.error;
-  resp.exit_code = r.exit_code;
-  resp.cached = r.cached;
-  resp.batched = r.batched;
-  resp.text = r.text;
-  resp.csv = r.csv;
-  return EncodeResponse(resp);
+  return EncodeServed(fut.get());
 }
 
 }  // namespace dcrm::service

@@ -3,6 +3,9 @@
 //
 // Thread model: one accept thread (poll + stop flag), one thread per
 // live connection, one executor thread inside the RequestScheduler.
+// The accept thread joins connection threads that have finished, so a
+// long-running daemon holds threads (and their stacks) only for the
+// connections that are still open.
 // Connection threads handle the cache fast path themselves
 // (ExecContext::TryCached — repeat requests never queue behind running
 // campaigns); misses go through Submit and block on the future.
@@ -17,11 +20,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/socket.h"
 #include "service/handlers.h"
@@ -63,7 +66,13 @@ class Server {
   ExecContext& context() { return ctx_; }
 
  private:
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};  // set as the thread's last act
+  };
+
   void AcceptLoop();
+  void ReapFinished();
   void HandleConnection(net::UnixSocket conn);
   std::string DispatchFrame(const std::string& frame);
 
@@ -75,7 +84,7 @@ class Server {
   std::atomic<std::uint64_t> connections_{0};
   std::thread accept_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  std::list<Connection> conns_;  // list: nodes stay put for their threads
   bool started_ = false;
   bool joined_ = false;
 };

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/enum_names.h"
 #include "common/types.h"
 
 namespace dcrm::sim {
@@ -29,9 +30,10 @@ enum class SchedPolicy : std::uint8_t { kGto, kLrr };
 // that) and several times faster on the replay hot path.
 enum class SimEngine : std::uint8_t { kCycleStepped, kEventDriven };
 
-inline const char* EngineName(SimEngine e) {
-  return e == SimEngine::kCycleStepped ? "cycle" : "event";
-}
+inline constexpr EnumName<SimEngine> kEngineNames[] = {
+    {"cycle", SimEngine::kCycleStepped},
+    {"event", SimEngine::kEventDriven},
+};
 
 struct GpuConfig {
   // Replay engine; both produce bit-identical cycle counts and stats.

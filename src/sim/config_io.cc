@@ -3,6 +3,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,13 +76,11 @@ const std::map<std::string, Setter>& Setters() {
        }},
       {"engine",
        [](GpuConfig& c, const std::string& v) {
-         if (v == "cycle") {
-           c.engine = SimEngine::kCycleStepped;
-         } else if (v == "event") {
-           c.engine = SimEngine::kEventDriven;
-         } else {
+         const std::optional<SimEngine> e = ValueOf(kEngineNames, v);
+         if (!e.has_value()) {
            throw std::invalid_argument("expected cycle or event");
          }
+         c.engine = *e;
        }},
       {"collect_block_misses",
        [](GpuConfig& c, const std::string& v) {
@@ -179,7 +178,7 @@ std::string DumpGpuConfig(const GpuConfig& c) {
 #undef DCRM_EMIT
   os << "sched_policy = "
      << (c.sched_policy == SchedPolicy::kGto ? "gto" : "lrr") << '\n';
-  os << "engine = " << EngineName(c.engine) << '\n';
+  os << "engine = " << NameOf(kEngineNames, c.engine) << '\n';
   os << "collect_block_misses = "
      << (c.collect_block_misses ? "true" : "false") << '\n';
   return os.str();

@@ -32,6 +32,14 @@ inline const char* SchemeName(Scheme s) {
   return "?";
 }
 
+// Command-line and wire spelling (SchemeName above is the display
+// name the reports print).
+inline constexpr EnumName<Scheme> kSchemeNames[] = {
+    {"none", Scheme::kNone},
+    {"detect", Scheme::kDetectOnly},
+    {"correct", Scheme::kDetectCorrect},
+};
+
 struct ProtectedRange {
   Addr base = 0;
   std::uint64_t size = 0;

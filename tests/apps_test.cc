@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "apps/bicg.h"
 #include "apps/driver.h"
@@ -81,6 +82,10 @@ struct HotCase {
   const char* app;
   std::vector<std::string> expected_hot;
 };
+
+// Names the case in `ctest -N` instead of dumping its bytes, which
+// would embed pointer values and change from build to build.
+void PrintTo(const HotCase& c, std::ostream* os) { *os << c.app; }
 
 class HotClassificationTest : public ::testing::TestWithParam<HotCase> {};
 

@@ -8,6 +8,7 @@
 // subprocess (DCRM_BIN).
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
 
 #include <atomic>
@@ -26,6 +27,7 @@
 #include "common/socket.h"
 #include "common/subprocess.h"
 #include "fault/parallel_campaign.h"
+#include "fault/request_fields.h"
 #include "fault/shard_coordinator.h"
 #include "fault/shard_io.h"
 #include "service/artifact_cache.h"
@@ -289,12 +291,12 @@ TEST(ServiceExecTest, AnalysisTypesAreDeterministicAcrossContexts) {
     const service::ServedResult ra = a.Execute(req);
     const service::ServedResult rb = b.Execute(req);
     ASSERT_TRUE(ra.ok) << ra.error;
-    EXPECT_EQ(ra.text, rb.text) << service::RequestTypeName(type);
-    EXPECT_EQ(ra.csv, rb.csv) << service::RequestTypeName(type);
+    EXPECT_EQ(ra.text, rb.text) << NameOf(service::kRequestTypeNames, type);
+    EXPECT_EQ(ra.csv, rb.csv) << NameOf(service::kRequestTypeNames, type);
     EXPECT_EQ(ra.exit_code, rb.exit_code);
     // And the repeat within one context is a pure cache hit.
     const auto warm = a.TryCached(req);
-    ASSERT_TRUE(warm.has_value()) << service::RequestTypeName(type);
+    ASSERT_TRUE(warm.has_value()) << NameOf(service::kRequestTypeNames, type);
     EXPECT_EQ(warm->text, ra.text);
   }
 }
@@ -400,6 +402,39 @@ TEST(ServiceExecTest, FailuresMapToCliExitCodes) {
   const service::ServedResult rt = ctx.Execute(bad_trace);
   EXPECT_FALSE(rt.ok);
   EXPECT_EQ(rt.exit_code, 1);
+}
+
+TEST(ServiceExecTest, CrossCheckAppendsVerdictUnderItsOwnKey) {
+  service::ExecContext ctx(service::ExecOptions{});
+  const service::RequestSpec plain = CampaignReq(24);
+  service::RequestSpec checked = plain;
+  checked.cross_check = true;
+  const service::ServedResult p = ctx.Execute(plain);
+  ASSERT_TRUE(p.ok) << p.error;
+  // The plain result is cached; the checked one must not be served
+  // from it.
+  EXPECT_FALSE(ctx.TryCached(checked).has_value());
+  const service::ServedResult c = ctx.Execute(checked);
+  ASSERT_TRUE(c.ok) << c.error;
+  EXPECT_EQ(c.exit_code, 0);
+  EXPECT_EQ(c.csv, p.csv);
+  ASSERT_EQ(c.text.rfind(p.text, 0), 0u);  // the plain text, then...
+  EXPECT_NE(c.text.find("cross-check:", p.text.size()), std::string::npos);
+}
+
+TEST(ServiceExecTest, StopFlagInterruptsAndIsNeverCached) {
+  std::atomic<bool> stop{true};
+  service::ExecOptions opts;
+  opts.stop = &stop;
+  service::ExecContext ctx(opts);
+  const service::RequestSpec req = CampaignReq(64);
+  const service::ServedResult r = ctx.Execute(req);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.exit_code, fault::kExitInterrupted);
+  EXPECT_EQ(r.error.rfind("interrupted: ", 0), 0u);
+  EXPECT_NE(r.text.find("SDC"), std::string::npos);  // partial counts
+  EXPECT_FALSE(r.csv.empty());
+  EXPECT_FALSE(ctx.TryCached(req).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +559,55 @@ TEST(ServiceServerTest, DrainAnswersInFlightRequests) {
   EXPECT_FALSE(FileExists(server.socket_path()));
 }
 
+// Virtual size of this process, from /proc/self/status (0 if absent).
+std::uint64_t VmSizeKb() {
+  std::ifstream is("/proc/self/status");
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServiceServerTest, FinishedConnectionThreadsAreReaped) {
+  const std::string dir = TestDir("server_reap");
+  service::ServerOptions so;
+  so.socket_path = dir + "/d.sock";
+  service::Server server(std::move(so));
+  server.Start();
+  service::RequestSpec stats;
+  stats.type = service::RequestType::kStats;
+  // Warm up with a few connections open at once: the allocator maps an
+  // arena per concurrent thread once, and the sequential connections
+  // below reuse them.
+  {
+    std::vector<service::Client> warm;
+    for (int i = 0; i < 4; ++i) {
+      warm.push_back(service::Client::Connect(server.socket_path()));
+      ASSERT_TRUE(warm.back().Call(stats).ok);
+    }
+  }
+  const std::uint64_t before_kb = VmSizeKb();
+  const std::string stats_frame = service::EncodeRequest(stats);
+  for (int i = 0; i < 300; ++i) {
+    net::UnixSocket conn = net::ConnectUnix(server.socket_path());
+    net::WriteFrame(conn.fd(), stats_frame);
+    ASSERT_TRUE(net::ReadFrame(conn.fd(), service::kMaxResponseBytes));
+    // Wait for the server to close its end: its connection thread is
+    // then finishing, so at most two are alive at once and the
+    // allocator needs no arena beyond the warmed-up ones.
+    ::shutdown(conn.fd(), SHUT_WR);
+    ASSERT_FALSE(net::ReadFrame(conn.fd(), service::kMaxResponseBytes));
+  }
+  const std::uint64_t after_kb = VmSizeKb();
+  server.RequestStop();
+  server.Join();
+  // An unjoined thread keeps its stack mapped (8 MB by default), so
+  // 300 unreaped connections would add about 2.4 GB.
+  EXPECT_LT(after_kb, before_kb + 64 * 1024)
+      << "VmSize grew from " << before_kb << " kB to " << after_kb << " kB";
+}
+
 TEST(ServiceServerTest, SigtermDrainsServeSubprocess) {
   const std::string dir = TestDir("sigterm");
   const std::string sock = dir + "/d.sock";
@@ -582,6 +666,87 @@ TEST(ServiceProtoTest, RequestRoundTripsThroughWire) {
   EXPECT_EQ(back.importance_sampling, req.importance_sampling);
   EXPECT_EQ(back.engine, req.engine);
   EXPECT_EQ(back.trace_path, req.trace_path);
+}
+
+TEST(ServiceProtoTest, NewRowsRoundTripAndStayOffTheWireWhenUnset) {
+  service::RequestSpec req = CampaignReq(10);
+  const std::string plain = service::EncodeRequest(req);
+  EXPECT_EQ(plain.find("graph"), std::string::npos);
+  EXPECT_EQ(plain.find("cross_check"), std::string::npos);
+  req.graph = true;
+  req.cross_check = true;
+  const service::RequestSpec back =
+      service::DecodeRequest(service::EncodeRequest(req));
+  EXPECT_TRUE(back.graph);
+  EXPECT_TRUE(back.cross_check);
+}
+
+// The CLI parser and the wire decoder read one table: the values the
+// daemon refuses, the command line refuses too.
+TEST(ServiceProtoTest, CommandLineAndWireShareRanges) {
+  const struct {
+    const char* flag;
+    const char* wire;
+  } cases[] = {
+      {"--runs=0", R"("runs":0)"},
+      {"--runs=-1", R"("runs":-1)"},
+      {"--blocks=0", R"("blocks":0)"},
+      {"--epoch=0", R"("epoch":0)"},
+      {"--runs=100000001", R"("runs":100000001)"},
+      {"--scale=huge", R"("scale":"huge")"},
+  };
+  for (const auto& c : cases) {
+    fault::RequestParams params;
+    EXPECT_EQ(fault::ParseArg(fault::kRequestFields, params, c.flag),
+              fault::ArgMatch::kBad)
+        << c.flag;
+    EXPECT_THROW(
+        service::DecodeRequest(std::string(R"({"type":"campaign",)") +
+                               R"("app":"P-ATAX",)" + c.wire + "}"),
+        service::ProtoError)
+        << c.wire;
+  }
+  fault::RequestParams params;
+  EXPECT_EQ(fault::ParseArg(fault::kRequestFields, params, "--runs=12abc"),
+            fault::ArgMatch::kBad);
+  EXPECT_EQ(fault::ParseArg(fault::kRequestFields, params, "--graph=1"),
+            fault::ArgMatch::kBad);
+  EXPECT_EQ(fault::ParseArg(fault::kRequestFields, params, "--bogus=1"),
+            fault::ArgMatch::kNoRow);
+  EXPECT_EQ(params.campaign.runs, fault::ShardCampaignSpec{}.runs);
+}
+
+// What the coordinator writes into a worker's argv parses back into
+// the identical campaign definition.
+TEST(ServiceProtoTest, WorkerArgvRoundTripsEveryCampaignRow) {
+  fault::RequestParams params;
+  params.campaign = BaseSpec(321, 0xfedcba9876543210ULL);
+  params.campaign.cover = 2;
+  params.campaign.objects = {"A", "x"};
+  params.campaign.allow_unsound = true;
+  params.campaign.target = fault::Target::kHotBlocks;
+  params.campaign.faulty_blocks = 3;
+  params.campaign.bits_per_block = 4;
+  params.campaign.recovery_retries = 2;
+  params.campaign.escalation_epoch = 8;
+  params.campaign.jobs = 3;
+  params.trace_path = "/tmp/t.trace";
+  params.config_path = "/tmp/gpu.conf";
+  std::vector<std::string> argv;
+  fault::AppendArgs(fault::kRequestFields, params, argv);
+
+  fault::RequestParams back;
+  back.campaign.app = params.campaign.app;
+  for (const std::string& a : argv) {
+    ASSERT_EQ(fault::ParseArg(fault::kRequestFields, back, a),
+              fault::ArgMatch::kSet)
+        << a;
+  }
+  EXPECT_EQ(fault::CampaignFingerprint(back.campaign, 7),
+            fault::CampaignFingerprint(params.campaign, 7));
+  EXPECT_EQ(back.campaign.jobs, params.campaign.jobs);
+  EXPECT_EQ(back.trace_path, params.trace_path);
+  EXPECT_EQ(back.config_path, params.config_path);
 }
 
 TEST(ServiceProtoTest, DecoderRejectsHostileInput) {

@@ -489,6 +489,33 @@ TEST(ShardCli, SigintDrainsCampaignWithExitCode7) {
   EXPECT_NE(err.find("interrupted"), std::string::npos);
 }
 
+// Malformed and out-of-range numbers are usage errors, checked by the
+// same field table the daemon's decoder uses. The cheap cases come
+// first: an older binary that ran `--runs=12abc` as 12 trials fails
+// there, before `--runs=-1` would try to allocate 2^32 trials.
+TEST(ShardCli, MalformedNumbersAreUsageErrors) {
+  const std::string dir = TestDir("cli_flags");
+  const std::vector<std::vector<std::string>> cases = {
+      {"--runs=12abc"},
+      {"--blocks=0"},
+      {"--epoch=0", "--recovery=2"},
+      {"--runs=-1"},
+  };
+  for (const auto& flags : cases) {
+    std::vector<std::string> argv = {DCRM_BIN, "campaign", "P-ATAX",
+                                     "--scale=tiny", "--scheme=detect"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    RemoveFileIfExists(dir + "/err.log");
+    const ExitStatus status =
+        Subprocess::Spawn(argv, dir + "/out.log", dir + "/err.log").Wait();
+    ASSERT_FALSE(status.signaled) << flags.front();
+    ASSERT_EQ(status.code, 2) << flags.front();
+    EXPECT_NE(ReadFileToString(dir + "/err.log").find("bad flag"),
+              std::string::npos)
+        << flags.front();
+  }
+}
+
 TEST(ShardCli, WorkerRefusesFingerprintMismatch) {
   const std::string dir = TestDir("cli_fp");
   {

@@ -3,6 +3,8 @@
 // protection configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/driver.h"
 #include "apps/registry.h"
 
@@ -14,6 +16,12 @@ struct Case {
   sim::Scheme scheme;
   unsigned cover;
 };
+
+// Names the case in `ctest -N` instead of dumping its bytes, which
+// would embed pointer values and change from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.app << '/' << sim::SchemeName(c.scheme);
+}
 
 class StatsInvariants : public ::testing::TestWithParam<Case> {};
 

@@ -1,104 +1,56 @@
-// dcrm — the command-line front end to the library.
+// dcrm — the command-line front end to the library. `dcrm` with no
+// arguments prints the flags; README.md documents every command and
+// the exit-code table.
 //
-//   dcrm apps                                  list applications
-//   dcrm config                                print the default hardware
-//                                              config file (edit & pass back
-//                                              via --config=FILE)
-//   dcrm profile <app> [--save=FILE] [--save-trace=FILE] [--graph]
-//                                              offline profiling run: hot
-//                                              classification + Table III;
-//                                              --save-trace records the
-//                                              columnar trace store so later
-//                                              commands replay it via
-//                                              --load-trace without
-//                                              re-collecting
-//   dcrm timing <app> [--scheme=..] [--cover=N]   cycle-level run
-//   dcrm campaign <app> [--target=hot|rest|miss] [--blocks=N] [--bits=N]
-//                 [--runs=N] [--scheme=none|detect|correct] [--cover=N]
-//                 [--jobs=N]   fan trials across N isolated workers
-//                              (0 = all hardware threads); results are
-//                              bit-identical at any N
-//   dcrm recover [<app>] [--retries=N] [campaign flags]
-//                 sweep re-execution retry budgets 0..N (0 = the paper's
-//                 detect-and-die) over one app or, with no app, all ten
-//   dcrm analyze <app> [--scheme=..] [--cover=N | --objects=a,b,c]
-//                 [--csv=FILE]
-//                 static certification of the protection plan against
-//                 the recorded access streams (races, read-only proof,
-//                 replica aliasing, LD/ST-table capacity) — no timing
-//                 simulation, no fault injection
-//   dcrm avf <app> [--scheme=..] [--cover=N | --objects=a,b,c]
-//                 [--blocks=N] [--bits=N] [--csv=FILE]
-//                 static vulnerability analysis: ACE-style block
-//                 liveness and per-object AVF over the recorded
-//                 streams, plus the derived outcome bounds a campaign
-//                 with these flags would be held to
-//   dcrm shard <app> [campaign flags] [--shards=N] [--workers=M]
-//                 [--workdir=DIR] [--resume] [--shard-timeout=SECONDS]
-//                 [--max-retries=N] [--backoff-ms=N] [--csv=FILE]
-//                 crash-tolerant multi-process campaign: epoch-aligned
-//                 shards run in worker processes, results merge
-//                 bit-identical to in-process --jobs=N, a checksummed
-//                 manifest checkpoint makes --resume re-run only what
-//                 is missing, dead/hung workers are re-dispatched with
-//                 exponential backoff
-//   dcrm shard-worker <app> ...   internal: runs one shard (spawned by
-//                 dcrm shard; not for interactive use)
-//   dcrm serve [--socket=PATH] [--cache-mb=N]
-//                 reliability-as-a-service daemon: accepts profile /
-//                 timing / analyze / avf / campaign requests from many
-//                 concurrent clients over a Unix socket, with a
-//                 content-addressed artifact cache and a scheduler
-//                 that coalesces compatible campaign requests into one
-//                 merged engine run (bit-identical results either way)
-//   dcrm request <type> [<app>] [command flags] [--socket=PATH]
-//                 one client request against a running daemon; <type>
-//                 is profile|timing|analyze|avf|campaign|stats|
-//                 shutdown, flags are the standalone command's flags
-//   Common flags: --scale=tiny|small|medium  --config=FILE  --seed=N
-//                 --load-trace=FILE (profile/timing/campaign/analyze/shard:
-//                 reuse a saved trace store instead of rebuilding traces)
-//                 --recovery=N --epoch=N (campaign, shard: tiered
-//                 recovery with an N-retry budget / escalation epoch)
+//   dcrm apps | config                list apps / print the default
+//                                     hardware config (edit, pass back
+//                                     with --config=FILE)
+//   dcrm profile|timing|analyze|avf|campaign <app> [flags]
+//                                     one request through the daemon's
+//                                     executor (service::ExecContext),
+//                                     in process: the output is the
+//                                     daemon's, byte for byte
+//   dcrm recover [<app>]              sweep re-execution retry budgets
+//   dcrm shard <app>                  crash-tolerant multi-process
+//                                     campaign (fault/shard_coordinator.h)
+//   dcrm shard-worker <app>           one shard; spawned by `dcrm shard`
+//   dcrm serve                        the reliability daemon (DESIGN.md
+//                                     §14)
+//   dcrm request <type> [<app>]       one request to a running daemon
 //
-// Exit codes (the authoritative table lives in README.md): 0 success,
-// 2 usage, 3 a run was terminated by the detection scheme, 4 a run hit
-// a SECDED uncorrectable error, 5 the analyzer certified with
-// warnings, 6 the analyzer found violations, 7 interrupted at a
-// checkpointable boundary (resumable), 8 a shard's retry budget was
-// exhausted (resumable), 9 campaign counts violated the static bounds
-// (--cross-check), 10 the daemon could not bind its socket, 11 the
-// client found nothing listening, 1 any other error.
+// Flags are `--name=value` or a bare `--name` switch. The request
+// flags are the rows of fault/request_fields.h, shared with the
+// daemon's wire format and the shard workers' argv; the flags only
+// this front end reads are the rows of kCliFields below. A flag that
+// names no row, or a value outside its row's range, is a usage error
+// (exit 2). SIGINT/SIGTERM make campaign, shard and serve drain at the
+// next checkpointable boundary (campaign and shard then exit 7).
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
-#include "analysis/analysis.h"
-#include "analysis/vulnerability.h"
 #include "apps/driver.h"
 #include "apps/registry.h"
 #include "core/profile_io.h"
 #include "core/recovery.h"
 #include "fault/campaign.h"
-#include "fault/cross_check.h"
-#include "fault/parallel_campaign.h"
+#include "fault/request_fields.h"
 #include "fault/shard_coordinator.h"
-#include "fault/shard_io.h"
 #include "service/client.h"
+#include "service/handlers.h"
 #include "service/proto.h"
-#include "service/render.h"
 #include "service/server.h"
 #include "sim/config_io.h"
-#include "trace/graph_stats.h"
 #include "trace/trace_io.h"
 #include "trace/trace_store.h"
 
@@ -132,64 +84,58 @@ std::string SelfExe(const char* argv0) {
 
 struct CliArgs {
   std::string command;
-  std::string app;
-  apps::AppScale scale = apps::AppScale::kSmall;
-  sim::GpuConfig cfg;
-  std::uint64_t seed = 1;
-  std::string save_path;
-  std::string save_trace_path;  // profile: binary trace-store output
-  std::string load_trace_path;  // reuse a saved trace store
-  sim::Scheme scheme = sim::Scheme::kNone;
-  std::optional<unsigned> cover;
-  fault::Target target = fault::Target::kMissWeighted;
-  unsigned blocks = 1;
-  unsigned bits = 2;
-  unsigned runs = 200;
-  unsigned retries = 3;
-  unsigned jobs = 1;  // campaign worker count (0 = hardware threads)
-  std::vector<std::string> objects;  // explicit cover (analyze, campaign)
-  std::string csv_path;              // analyze/campaign/shard: CSV output
-  bool graph = false;  // profile: dump kernel-graph topology + edge reuse
-  bool allow_unsound = false;        // campaign: skip the launch gate
-  // Campaign: restrict trials to statically SDC-reachable blocks
-  // (unbiased via the stored weight share) / gate the finished counts
-  // against the static outcome bounds.
-  bool importance_sampling = false;
-  bool cross_check = false;
-  // Campaign/shard recovery pipeline: budget 0 = the paper's
-  // detect-and-die, >0 enables tiered recovery (and with it Tier-2
-  // escalation, the cross-trial coupling).
-  unsigned recovery_retries = 0;
-  unsigned epoch = 16;  // escalation epoch (trials)
-  // Sharded campaign (dcrm shard).
-  unsigned shards = 4;
-  unsigned workers = 2;
-  std::string workdir = "dcrm_shard_work";
-  bool resume = false;
-  std::uint64_t shard_timeout_ms = 0;
-  unsigned max_retries = 3;
-  std::uint64_t backoff_ms = 500;
-  int kill_shard = -1;  // fault injection (tests, CI)
-  unsigned kill_shard_after = 0;
-  int hang_shard = -1;
-  unsigned hang_shard_after = 0;
-  int stop_after_shards = -1;
-  // Shard worker (dcrm shard-worker, spawned by the coordinator).
-  unsigned shard_index = 0;
-  unsigned trial_begin = 0;
-  unsigned trial_end = 0;
-  std::uint64_t fingerprint = 0;
-  std::string out_path;
-  std::string ledger_in;
-  unsigned kill_after = 0;
-  unsigned hang_after = 0;
-  // Service (dcrm serve / dcrm request).
-  std::string socket_path = "dcrm.sock";
-  std::uint64_t cache_mb = 256;
-  std::string request_type;
-  // Whether --engine was given explicitly: a request only overrides
-  // the daemon's engine when the client asked for one.
-  std::optional<sim::SimEngine> engine_override;
+  // The request vocabulary, shared with the daemon and the shard
+  // workers. The app and the request type are positional.
+  service::RequestSpec req;
+  fault::WorkerOptions worker;       // shard-worker
+  fault::CoordinatorOptions shard;   // shard
+  unsigned shard_timeout_s = 0;      // shard: 0 = no timeout
+  std::string csv_path;              // the command's CSV artifact
+  std::string save_path;             // profile: profiler counters
+  std::string save_trace_path;       // profile: binary trace store
+  unsigned retries = 3;              // recover: sweep budgets 0..N
+  std::string socket_path = "dcrm.sock";  // serve, request
+  unsigned cache_mb = 256;           // serve: artifact-cache budget
+};
+
+using fault::kMaxPathBytes;
+using fault::kMaxRuns;
+using fault::kMaxSmallCount;
+using fault::Member;
+using A = CliArgs;
+using C = fault::CoordinatorOptions;
+
+// Shard<&C::x> sets args.shard.x.
+template <auto P>
+fault::FieldRef Shard(A& a) {
+  return &(a.shard.*P);
+}
+
+// Bound on concurrent shard worker processes.
+constexpr std::int64_t kMaxWorkers = 256;
+
+// The flags only this front end reads.
+const fault::Field<A> kCliFields[] = {
+    {"--csv", nullptr, Member<&A::csv_path>, 1, kMaxPathBytes},
+    {"--save", nullptr, Member<&A::save_path>, 1, kMaxPathBytes},
+    {"--save-trace", nullptr, Member<&A::save_trace_path>, 1, kMaxPathBytes},
+    {"--retries", nullptr, Member<&A::retries>, 0, kMaxSmallCount},
+    {"--shards", nullptr, Shard<&C::shards>, 1, kMaxSmallCount},
+    {"--workers", nullptr, Shard<&C::workers>, 1, kMaxWorkers},
+    {"--workdir", nullptr, Shard<&C::workdir>, 1, kMaxPathBytes},
+    {"--resume", nullptr, Shard<&C::resume>},
+    {"--shard-timeout", nullptr, Member<&A::shard_timeout_s>, 0,
+     kMaxSmallCount},
+    {"--max-retries", nullptr, Shard<&C::max_retries>, 0, kMaxSmallCount},
+    {"--backoff-ms", nullptr, Shard<&C::backoff_ms>},
+    {"--kill-shard", nullptr, Shard<&C::kill_shard>, -1, kMaxSmallCount},
+    {"--kill-shard-after", nullptr, Shard<&C::kill_after>, 0, kMaxRuns},
+    {"--hang-shard", nullptr, Shard<&C::hang_shard>, -1, kMaxSmallCount},
+    {"--hang-shard-after", nullptr, Shard<&C::hang_after>, 0, kMaxRuns},
+    {"--stop-after-shards", nullptr, Shard<&C::stop_after_shards>, -1,
+     kMaxSmallCount},
+    {"--socket", nullptr, Member<&A::socket_path>, 1, kMaxPathBytes},
+    {"--cache-mb", nullptr, Member<&A::cache_mb>, 1, 1 << 20},
 };
 
 int Usage() {
@@ -234,211 +180,31 @@ int Usage() {
   return 2;
 }
 
-bool ParseFlag(CliArgs& args, const std::string& a) {
-  auto value = [&](const char* prefix) -> std::optional<std::string> {
-    const std::size_t n = std::strlen(prefix);
-    if (a.rfind(prefix, 0) == 0) return a.substr(n);
-    return std::nullopt;
-  };
-  if (auto v = value("--scale=")) {
-    if (*v == "tiny") args.scale = apps::AppScale::kTiny;
-    else if (*v == "small") args.scale = apps::AppScale::kSmall;
-    else if (*v == "medium") args.scale = apps::AppScale::kMedium;
-    else return false;
-    return true;
+// One argument against every table; false = a usage error.
+bool ParseFlag(CliArgs& args, std::string_view a) {
+  fault::ArgMatch m = fault::ParseArg<fault::RequestParams>(
+      fault::kRequestFields, args.req, a);
+  if (m == fault::ArgMatch::kNoRow) {
+    m = fault::ParseArg(fault::kWorkerFields, args.worker, a);
   }
-  if (auto v = value("--config=")) {
-    args.cfg = sim::LoadGpuConfigFile(*v, args.cfg);
-    return true;
+  if (m == fault::ArgMatch::kNoRow) m = fault::ParseArg(kCliFields, args, a);
+  return m == fault::ArgMatch::kSet;
+}
+
+void PrintError(const std::string& error) {
+  std::cerr << error;
+  if (error.empty() || error.back() != '\n') std::cerr << '\n';
+}
+
+template <class WriteFn>
+bool WriteFile(const std::string& path, WriteFn write) {
+  std::ofstream os(path, std::ios::binary);
+  if (!os) {
+    std::cerr << "cannot write " << path << '\n';
+    return false;
   }
-  if (auto v = value("--engine=")) {
-    if (*v == "cycle") args.cfg.engine = sim::SimEngine::kCycleStepped;
-    else if (*v == "event") args.cfg.engine = sim::SimEngine::kEventDriven;
-    else return false;
-    args.engine_override = args.cfg.engine;
-    return true;
-  }
-  if (auto v = value("--seed=")) {
-    args.seed = std::stoull(*v);
-    return true;
-  }
-  if (auto v = value("--save-trace=")) {
-    args.save_trace_path = *v;
-    return true;
-  }
-  if (auto v = value("--load-trace=")) {
-    args.load_trace_path = *v;
-    return true;
-  }
-  if (auto v = value("--save=")) {
-    args.save_path = *v;
-    return true;
-  }
-  if (auto v = value("--scheme=")) {
-    if (*v == "none") args.scheme = sim::Scheme::kNone;
-    else if (*v == "detect") args.scheme = sim::Scheme::kDetectOnly;
-    else if (*v == "correct") args.scheme = sim::Scheme::kDetectCorrect;
-    else return false;
-    return true;
-  }
-  if (auto v = value("--cover=")) {
-    args.cover = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--target=")) {
-    if (*v == "hot") args.target = fault::Target::kHotBlocks;
-    else if (*v == "rest") args.target = fault::Target::kRestBlocks;
-    else if (*v == "miss") args.target = fault::Target::kMissWeighted;
-    else return false;
-    return true;
-  }
-  if (auto v = value("--blocks=")) {
-    args.blocks = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--bits=")) {
-    args.bits = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--runs=")) {
-    args.runs = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--retries=")) {
-    args.retries = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--jobs=")) {
-    args.jobs = static_cast<unsigned>(std::stoul(*v));
-    if (args.jobs == 0) args.jobs = std::thread::hardware_concurrency();
-    if (args.jobs == 0) args.jobs = 1;
-    return true;
-  }
-  if (auto v = value("--objects=")) {
-    std::stringstream ss(*v);
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-      if (!name.empty()) args.objects.push_back(name);
-    }
-    return !args.objects.empty();
-  }
-  if (auto v = value("--csv=")) {
-    args.csv_path = *v;
-    return true;
-  }
-  if (a == "--graph") {
-    args.graph = true;
-    return true;
-  }
-  if (a == "--allow-unsound") {
-    args.allow_unsound = true;
-    return true;
-  }
-  if (a == "--importance-sampling") {
-    args.importance_sampling = true;
-    return true;
-  }
-  if (a == "--cross-check") {
-    args.cross_check = true;
-    return true;
-  }
-  if (auto v = value("--recovery=")) {
-    args.recovery_retries = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--epoch=")) {
-    args.epoch = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--shards=")) {
-    args.shards = static_cast<unsigned>(std::stoul(*v));
-    return args.shards > 0;
-  }
-  if (auto v = value("--workers=")) {
-    args.workers = static_cast<unsigned>(std::stoul(*v));
-    return args.workers > 0;
-  }
-  if (auto v = value("--workdir=")) {
-    args.workdir = *v;
-    return !args.workdir.empty();
-  }
-  if (a == "--resume") {
-    args.resume = true;
-    return true;
-  }
-  if (auto v = value("--shard-timeout=")) {
-    args.shard_timeout_ms = std::stoull(*v) * 1000;
-    return true;
-  }
-  if (auto v = value("--max-retries=")) {
-    args.max_retries = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--backoff-ms=")) {
-    args.backoff_ms = std::stoull(*v);
-    return true;
-  }
-  if (auto v = value("--kill-shard=")) {
-    args.kill_shard = std::stoi(*v);
-    return true;
-  }
-  if (auto v = value("--kill-shard-after=")) {
-    args.kill_shard_after = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--hang-shard=")) {
-    args.hang_shard = std::stoi(*v);
-    return true;
-  }
-  if (auto v = value("--hang-shard-after=")) {
-    args.hang_shard_after = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--stop-after-shards=")) {
-    args.stop_after_shards = std::stoi(*v);
-    return true;
-  }
-  if (auto v = value("--shard-index=")) {
-    args.shard_index = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--trial-begin=")) {
-    args.trial_begin = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--trial-end=")) {
-    args.trial_end = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--fingerprint=")) {
-    args.fingerprint = std::stoull(*v);
-    return true;
-  }
-  if (auto v = value("--out=")) {
-    args.out_path = *v;
-    return !args.out_path.empty();
-  }
-  if (auto v = value("--ledger-in=")) {
-    args.ledger_in = *v;
-    return true;
-  }
-  if (auto v = value("--kill-after=")) {
-    args.kill_after = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--hang-after=")) {
-    args.hang_after = static_cast<unsigned>(std::stoul(*v));
-    return true;
-  }
-  if (auto v = value("--socket=")) {
-    args.socket_path = *v;
-    return !args.socket_path.empty();
-  }
-  if (auto v = value("--cache-mb=")) {
-    args.cache_mb = std::stoull(*v);
-    return args.cache_mb > 0;
-  }
-  return false;
+  write(os);
+  return true;
 }
 
 int CmdApps() {
@@ -446,70 +212,30 @@ int CmdApps() {
   return 0;
 }
 
-// Reads a saved trace store when --load-trace was given, else null
-// (ProfileApp then collects traces itself).
-std::shared_ptr<const trace::TraceStore> MaybeLoadTrace(const CliArgs& args) {
-  if (args.load_trace_path.empty()) return nullptr;
-  std::ifstream is(args.load_trace_path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot read " + args.load_trace_path);
-  }
-  return trace::LoadTrace(is);
-}
-
 int CmdConfig(const CliArgs& args) {
-  std::cout << sim::DumpGpuConfig(args.cfg);
+  std::cout << sim::DumpGpuConfig(args.req.campaign.gpu);
   return 0;
 }
 
-int CmdProfile(CliArgs& args) {
-  auto app = apps::MakeApp(args.app, args.scale);
-  const auto profile =
-      apps::ProfileApp(*app, args.cfg, {}, MaybeLoadTrace(args));
-  std::cout << args.app << ": knee ratio "
-            << profile.hot.max_median_ratio << "x, hot pattern "
-            << (profile.hot.has_hot_pattern ? "yes" : "no") << "\n";
-  for (const auto& op : profile.hot.coverage_order) {
-    const bool hot = std::any_of(
-        profile.hot.hot_objects.begin(), profile.hot.hot_objects.end(),
-        [&](const auto& h) { return h.id == op.id; });
-    std::cout << "  " << (hot ? "*" : " ") << op.name << "  reads/block "
-              << static_cast<std::uint64_t>(op.reads_per_block)
-              << "  warp-share "
-              << static_cast<int>(100 * op.mean_warp_share) << "%\n";
-  }
-  std::cout << "hot footprint " << 100 * profile.hot.hot_footprint
-            << "% of application memory, "
-            << 100 * profile.hot.hot_access_share
-            << "% of memory transactions\n";
-  if (args.graph) {
-    trace::WriteGraphText(*profile.trace_store, std::cout);
-    if (!args.csv_path.empty()) {
-      std::ofstream os(args.csv_path);
-      if (!os) {
-        std::cerr << "cannot write " << args.csv_path << '\n';
-        return 1;
-      }
-      trace::WriteGraphCsv(*profile.trace_store, os);
-      std::cout << "graph table saved to " << args.csv_path << '\n';
-    }
-  }
+// profile --save / --save-trace: the profile the request just used,
+// from the executor's cache.
+int SaveProfileArtifacts(const CliArgs& args, service::ExecContext& ctx) {
+  const auto art = ctx.ResolveProfile(args.req);
+  const apps::ProfileResult& profile = art->profile;
   if (!args.save_path.empty()) {
-    std::ofstream os(args.save_path);
-    if (!os) {
-      std::cerr << "cannot write " << args.save_path << '\n';
+    if (!WriteFile(args.save_path, [&](std::ostream& os) {
+          core::SaveProfile(profile.profiler, os);
+        })) {
       return 1;
     }
-    core::SaveProfile(profile.profiler, os);
     std::cout << "profile saved to " << args.save_path << '\n';
   }
   if (!args.save_trace_path.empty()) {
-    std::ofstream os(args.save_trace_path, std::ios::binary);
-    if (!os) {
-      std::cerr << "cannot write " << args.save_trace_path << '\n';
+    if (!WriteFile(args.save_trace_path, [&](std::ostream& os) {
+          trace::SaveTrace(*profile.trace_store, os);
+        })) {
       return 1;
     }
-    trace::SaveTrace(*profile.trace_store, os);
     std::cout << "trace store saved to " << args.save_trace_path << " ("
               << profile.trace_store->FootprintBytes() << " bytes in memory, "
               << profile.trace_store->TotalTransactions()
@@ -518,275 +244,54 @@ int CmdProfile(CliArgs& args) {
   return 0;
 }
 
-// The CSV bytes come from the renderer the daemon also uses
-// (service/render.h), so `dcrm timing --csv` and a served timing
-// request are bit-identical by construction.
-void WriteTimingCsv(const std::string& path, const apps::TimingDetail& d) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot write " + path);
-  os << service::RenderTimingCsv(d);
-}
-
-int CmdTiming(CliArgs& args) {
-  auto app = apps::MakeApp(args.app, args.scale);
-  const auto profile =
-      apps::ProfileApp(*app, args.cfg, {}, MaybeLoadTrace(args));
-  const unsigned cover = args.cover.value_or(
-      static_cast<unsigned>(profile.hot.hot_objects.size()));
-  const auto base =
-      apps::MakeProtectionSetup(*app, profile, sim::Scheme::kNone, 0);
-  const auto base_stats = apps::RunTiming(*app, profile, args.cfg, base.plan);
-  const auto setup =
-      apps::MakeProtectionSetup(*app, profile, args.scheme, cover);
-  const auto detail =
-      apps::RunTimingDetailed(*app, profile, args.cfg, setup.plan);
-  const auto& stats = detail.total;
-  if (!args.csv_path.empty()) WriteTimingCsv(args.csv_path, detail);
-  std::cout << args.app << " scheme=" << sim::SchemeName(args.scheme)
-            << " cover=" << cover
-            << " engine=" << sim::EngineName(args.cfg.engine) << "\n"
-            << "cycles " << stats.cycles << " (baseline " << base_stats.cycles
-            << ", overhead "
-            << 100.0 * (static_cast<double>(stats.cycles) /
-                            static_cast<double>(base_stats.cycles) -
-                        1.0)
-            << "%)\n"
-            << "L1 " << stats.l1_hits << " hits / " << stats.l1_pending_hits
-            << " pending / " << stats.l1_misses << " misses; replica txns "
-            << stats.replica_transactions << "; L2 hits " << stats.l2_hits
-            << "/" << stats.l2_accesses << "; DRAM reads "
-            << stats.dram_reads << " (row hits " << stats.dram_row_hits
-            << ")\n";
-  return 0;
-}
-
-int CmdAnalyze(CliArgs& args) {
-  auto app = apps::MakeApp(args.app, args.scale);
-  const auto profile =
-      apps::ProfileApp(*app, args.cfg, {}, MaybeLoadTrace(args));
-  apps::ProtectionSetup setup;
-  if (!args.objects.empty()) {
-    setup = apps::MakeProtectionSetupForObjects(*app, profile, args.scheme,
-                                                args.objects);
-  } else {
-    const unsigned cover = args.cover.value_or(
-        static_cast<unsigned>(profile.hot.hot_objects.size()));
-    setup = apps::MakeProtectionSetup(*app, profile, args.scheme, cover);
-  }
-  analysis::AnalyzerInput in;
-  in.traces = profile.trace_store.get();
-  in.space = &setup.dev->space();
-  in.plan = &setup.plan;
-  in.cfg = args.cfg;
-  // The Tier-1 spare pool a default-configured RecoveryManager would
-  // carve out next, so replica-vs-spare aliasing is checked for the
-  // layout a recovering campaign will actually run with.
-  const core::RecoveryConfig rc;
-  in.spare = analysis::SpareRegion{
-      setup.dev->space().Brk(),
-      std::uint64_t{rc.spare_blocks} * kBlockSize};
-  analysis::Report report = analysis::Analyze(in);
-  report.Append(analysis::CrossCheckHotClaims(*profile.trace_store,
-                                              setup.dev->space(),
-                                              profile.hot));
-  std::cout << args.app << " scheme=" << sim::SchemeName(args.scheme)
-            << " ranges=" << setup.plan.ranges.size() << " pcs="
-            << setup.plan.pcs.size() << "\n";
-  trace::WriteKernelStatsText(*profile.trace_store, std::cout);
-  analysis::WriteText(report, std::cout);
-  if (!args.csv_path.empty()) {
-    std::ofstream os(args.csv_path);
-    if (!os) {
-      std::cerr << "cannot write " << args.csv_path << '\n';
+// profile | timing | analyze | avf | campaign: one request through the
+// daemon's executor, in process.
+int CmdExecute(const CliArgs& args) {
+  service::ExecOptions opts;
+  // One request per process: nothing is worth evicting, and --save
+  // reads the profile back from the cache.
+  opts.cache_bytes = std::numeric_limits<std::uint64_t>::max();
+  opts.gpu = args.req.campaign.gpu;
+  opts.jobs = args.req.campaign.jobs;
+  opts.stop = &g_stop;
+  service::ExecContext ctx(opts);
+  const service::ServedResult r = ctx.Execute(args.req);
+  std::cout << r.text;
+  if (!r.error.empty()) PrintError(r.error);
+  if (!args.csv_path.empty() && !r.csv.empty()) {
+    if (!WriteFile(args.csv_path, [&](std::ostream& os) { os << r.csv; })) {
       return 1;
     }
-    analysis::WriteCsv(report, os);
-    trace::WriteKernelStatsCsv(*profile.trace_store, os);
-    std::cout << "report saved to " << args.csv_path << '\n';
-  }
-  return report.ExitCode();
-}
-
-int CmdAvf(CliArgs& args) {
-  auto app = apps::MakeApp(args.app, args.scale);
-  const auto profile =
-      apps::ProfileApp(*app, args.cfg, {}, MaybeLoadTrace(args));
-  apps::ProtectionSetup setup;
-  if (!args.objects.empty()) {
-    setup = apps::MakeProtectionSetupForObjects(*app, profile, args.scheme,
-                                                args.objects);
-  } else {
-    unsigned cover = args.cover.value_or(
-        static_cast<unsigned>(profile.hot.hot_objects.size()));
-    if (args.scheme == sim::Scheme::kNone) cover = 0;
-    setup = apps::MakeProtectionSetup(*app, profile, args.scheme, cover);
-  }
-  const auto map = analysis::AnalyzeVulnerability(
-      *profile.trace_store, setup.dev->space(), app->OutputObjects());
-  std::cout << args.app << " scheme=" << sim::SchemeName(args.scheme)
-            << " ranges=" << setup.plan.ranges.size()
-            << " pcs=" << setup.plan.pcs.size() << "\n";
-  analysis::WriteVulnerabilityText(map, setup.plan, std::cout);
-
-  // Outcome bounds a campaign with these flags would be held to, over
-  // the default exposure-weighted universe.
-  const auto universe = analysis::BuildExposureUniverse(profile.profiler);
-  analysis::BoundsSpec spec;
-  spec.faulty_blocks = args.blocks;
-  spec.multi_bit_words = args.bits >= 3;
-  spec.due_capable_words = args.bits >= 2;
-  const auto bounds = analysis::DeriveOutcomeBounds(
-      map, setup.plan,
-      analysis::TargetUniverse{universe.blocks, universe.weight_prefix},
-      spec);
-  std::cout << "campaign bounds (miss-weighted, blocks=" << args.blocks
-            << " bits=" << args.bits << "): sdc<=" << bounds.sdc_max
-            << " masked>=" << bounds.masked_min << " over "
-            << bounds.universe_blocks << " blocks (" << bounds.sdc_blocks
-            << " SDC-reachable, " << bounds.inert_blocks
-            << " inert, reachable weight share "
-            << bounds.sdc_weight_share << ")\n";
-
-  analysis::Report report;
-  report.Append(
-      analysis::AuditVulnerability(map, setup.dev->space(), setup.plan));
-  analysis::WriteText(report, std::cout);
-  if (!args.csv_path.empty()) {
-    std::ofstream os(args.csv_path);
-    if (!os) {
-      std::cerr << "cannot write " << args.csv_path << '\n';
-      return 1;
+    switch (args.req.type) {
+      case service::RequestType::kProfile:
+        std::cout << "graph table saved to " << args.csv_path << '\n';
+        break;
+      case service::RequestType::kAnalyze:
+      case service::RequestType::kAvf:
+        std::cout << "report saved to " << args.csv_path << '\n';
+        break;
+      default:
+        break;
     }
-    analysis::WriteVulnerabilityCsv(map, setup.plan, os);
-    std::cout << "report saved to " << args.csv_path << '\n';
   }
-  return report.ExitCode();
-}
-
-int CmdCampaign(CliArgs& args) {
-  auto app = apps::MakeApp(args.app, args.scale);
-  const auto profile =
-      apps::ProfileApp(*app, args.cfg, {}, MaybeLoadTrace(args));
-  unsigned cover = args.cover.value_or(
-      static_cast<unsigned>(profile.hot.hot_objects.size()));
-  if (args.scheme == sim::Scheme::kNone) cover = 0;
-  fault::CampaignSpec spec;
-  spec.make_app = [&args] { return apps::MakeApp(args.app, args.scale); };
-  spec.profile = &profile;
-  spec.scheme = args.scheme;
-  spec.cover_objects = cover;
-  spec.object_names = args.objects;
-  spec.allow_unsound = args.allow_unsound;
-  fault::ParallelCampaign campaign(std::move(spec), args.jobs);
-  fault::CampaignConfig cc;
-  cc.target = args.target;
-  cc.faulty_blocks = args.blocks;
-  cc.bits_per_block = args.bits;
-  cc.runs = args.runs;
-  cc.seed = args.seed;
-  cc.recovery.enabled = args.recovery_retries > 0;
-  cc.recovery.max_retries = args.recovery_retries;
-  cc.escalation_epoch = args.epoch;
-  cc.importance_sampling = args.importance_sampling;
-  if (cc.importance_sampling &&
-      campaign.front().SamplingShare(cc.target) == 0.0) {
-    // The static analysis proves every selectable block is either
-    // never consumed or fully checked: the SDC rate is exactly zero,
-    // no trials required.
-    std::cout << args.app << " scheme=" << sim::SchemeName(args.scheme)
-              << " cover=" << cover
-              << ": importance sampling found no SDC-reachable blocks "
-                 "in the target set — SDC rate is statically 0, skipping "
-              << cc.runs << " trials\n";
-    return 0;
+  if (args.req.type == service::RequestType::kProfile && r.ok) {
+    if (const int rc = SaveProfileArtifacts(args, ctx); rc != 0) return rc;
   }
-  // SIGINT/SIGTERM drain at the next wave boundary: partial counts are
-  // reported (whole epochs only) and the distinct exit code 7 tells
-  // scripts the run is incomplete-but-clean, not broken.
-  fault::EngineOptions eo;
-  eo.stop = &g_stop;
-  eo.max_wave = 512;
-  const auto counts = campaign.Run(cc, eo);
-  const bool interrupted = counts.runs < cc.runs;
-  // The summary bytes come from the renderer the daemon also uses
-  // (service/render.h), so `dcrm campaign` and a served campaign
-  // request are bit-identical by construction.
-  const double share = cc.importance_sampling
-                           ? campaign.front().SamplingShare(cc.target)
-                           : 0.0;
-  std::cout << service::RenderCampaignSummary(args.app, args.scheme, cover,
-                                              cc, counts, campaign.jobs(),
-                                              share);
-  if (!args.csv_path.empty()) {
-    std::ofstream os(args.csv_path);
-    if (!os) {
-      std::cerr << "cannot write " << args.csv_path << '\n';
-      return 1;
-    }
-    fault::WriteCountsCsv(counts, campaign.ledger(), os);
-  }
-  trace::WriteKernelStatsText(*profile.trace_store, std::cout);
-  if (interrupted) {
-    std::cerr << "interrupted: " << counts.runs << "/" << cc.runs
-              << " trials completed (counts above are the partial "
-                 "totals)\n";
-    return fault::kExitInterrupted;
-  }
-  if (args.cross_check) {
-    const auto check =
-        fault::CrossCheckCounts(campaign.front(), cc, counts);
-    fault::WriteCrossCheckText(check, std::cout);
-    if (!check.Pass()) return fault::kExitBoundsViolated;
-  }
-  return 0;
-}
-
-// `dcrm shard` / `dcrm shard-worker` share one spec builder so the
-// coordinator and its children parse flags into the identical campaign
-// definition (the fingerprint double-checks that).
-fault::ShardCampaignSpec MakeShardSpec(const CliArgs& args) {
-  fault::ShardCampaignSpec spec;
-  spec.app = args.app;
-  spec.scale = args.scale;
-  spec.scheme = args.scheme;
-  spec.cover = args.cover;
-  spec.objects = args.objects;
-  spec.allow_unsound = args.allow_unsound;
-  spec.target = args.target;
-  spec.faulty_blocks = args.blocks;
-  spec.bits_per_block = args.bits;
-  spec.runs = args.runs;
-  spec.seed = args.seed;
-  spec.recovery_retries = args.recovery_retries;
-  spec.escalation_epoch = args.epoch;
-  spec.jobs = args.jobs;
-  spec.gpu = args.cfg;
-  return spec;
+  return r.exit_code;
 }
 
 int CmdShard(const CliArgs& args, const char* argv0) {
-  fault::CoordinatorOptions opts;
+  fault::CoordinatorOptions opts = args.shard;
   opts.dcrm_binary = SelfExe(argv0);
-  opts.workdir = args.workdir;
-  opts.trace_path = args.load_trace_path;
-  opts.shards = args.shards;
-  opts.workers = args.workers;
-  opts.shard_timeout_ms = args.shard_timeout_ms;
-  opts.max_retries = args.max_retries;
-  opts.backoff_ms = args.backoff_ms;
-  opts.resume = args.resume;
-  opts.kill_shard = args.kill_shard;
-  opts.kill_after = args.kill_shard_after;
-  opts.hang_shard = args.hang_shard;
-  opts.hang_after = args.hang_shard_after;
-  opts.stop_after_shards = args.stop_after_shards;
+  opts.trace_path = args.req.trace_path;
+  opts.shard_timeout_ms = std::uint64_t{args.shard_timeout_s} * 1000;
   opts.csv_path = args.csv_path;
   opts.stop = &g_stop;
   opts.log = &std::cerr;
-  const auto outcome = fault::RunShardCoordinator(MakeShardSpec(args), opts);
+  const auto outcome = fault::RunShardCoordinator(args.req.campaign, opts);
   if (outcome.exit_code == fault::kExitOk) {
     const auto ci = outcome.counts.SdcCi();
-    std::cout << args.app << " sharded campaign: runs="
+    std::cout << args.req.campaign.app << " sharded campaign: runs="
               << outcome.counts.runs << " shards=" << outcome.shards_total
               << " redispatches=" << outcome.redispatches << "\nSDC "
               << outcome.counts.sdc << " (" << 100 * ci.p << "% +/- "
@@ -809,29 +314,21 @@ int CmdShard(const CliArgs& args, const char* argv0) {
 }
 
 int CmdShardWorker(const CliArgs& args) {
-  fault::WorkerOptions opts;
-  opts.shard_index = args.shard_index;
-  opts.trial_begin = args.trial_begin;
-  opts.trial_end = args.trial_end;
-  opts.fingerprint = args.fingerprint;
-  opts.trace_path = args.load_trace_path;
-  opts.out_path = args.out_path;
-  opts.ledger_in = args.ledger_in;
-  opts.kill_after = args.kill_after;
-  opts.hang_after = args.hang_after;
+  fault::WorkerOptions opts = args.worker;
+  opts.trace_path = args.req.trace_path;
   opts.stop = &g_stop;
   if (opts.trace_path.empty() || opts.out_path.empty()) {
     std::cerr << "shard-worker needs --load-trace and --out\n";
     return 2;
   }
-  return fault::RunShardWorker(MakeShardSpec(args), opts);
+  return fault::RunShardWorker(args.req.campaign, opts);
 }
 
 int CmdServe(const CliArgs& args) {
   service::ServerOptions opts;
   opts.socket_path = args.socket_path;
-  opts.exec.cache_bytes = args.cache_mb * 1024 * 1024;
-  opts.exec.gpu = args.cfg;
+  opts.exec.cache_bytes = std::uint64_t{args.cache_mb} * 1024 * 1024;
+  opts.exec.gpu = args.req.campaign.gpu;
   service::Server server(opts);
   try {
     server.Start();
@@ -855,36 +352,21 @@ int CmdServe(const CliArgs& args) {
 }
 
 int CmdRequest(const CliArgs& args) {
-  const std::optional<service::RequestType> type =
-      service::RequestTypeFromName(args.request_type);
-  if (!type.has_value()) return Usage();
-  const bool needs_app = *type != service::RequestType::kStats &&
-                         *type != service::RequestType::kShutdown;
-  if (needs_app && args.app.empty()) return Usage();
-  service::RequestSpec req;
-  req.type = *type;
-  req.campaign = MakeShardSpec(args);
-  req.importance_sampling = args.importance_sampling;
-  req.engine = args.engine_override;
-  req.trace_path = args.load_trace_path;
   service::Response resp;
   try {
     service::Client client = service::Client::Connect(args.socket_path);
-    resp = client.Call(req);
+    resp = client.Call(args.req);
   } catch (const net::SocketError& e) {
     std::cerr << "error: " << e.what() << '\n';
     return service::kExitConnectFailed;
   }
-  if (!resp.error.empty()) std::cerr << resp.error << '\n';
+  if (!resp.error.empty()) PrintError(resp.error);
   std::cout << resp.text;
   if (!resp.extra.empty()) std::cout << resp.extra << '\n';
   if (!args.csv_path.empty() && !resp.csv.empty()) {
-    std::ofstream os(args.csv_path);
-    if (!os) {
-      std::cerr << "cannot write " << args.csv_path << '\n';
+    if (!WriteFile(args.csv_path, [&](std::ostream& os) { os << resp.csv; })) {
       return 1;
     }
-    os << resp.csv;
   }
   // Machine-greppable service-path markers (CI asserts the second pass
   // of a repeated batch is all cache hits).
@@ -893,44 +375,38 @@ int CmdRequest(const CliArgs& args) {
   return resp.exit_code;
 }
 
-int CmdRecover(CliArgs& args) {
+int CmdRecover(const CliArgs& args) {
+  const fault::ShardCampaignSpec& c = args.req.campaign;
   // The sweep needs a detecting scheme; default to the paper's
   // duplication when none was requested.
-  if (args.scheme == sim::Scheme::kNone) {
-    args.scheme = sim::Scheme::kDetectOnly;
-  }
+  const sim::Scheme scheme =
+      c.scheme == sim::Scheme::kNone ? sim::Scheme::kDetectOnly : c.scheme;
   const std::vector<std::string> names =
-      args.app.empty() ? apps::HotPatternAppNames()
-                       : std::vector<std::string>{args.app};
-  std::cout << "retry-budget sweep: scheme=" << sim::SchemeName(args.scheme)
-            << " blocks=" << args.blocks << " bits=" << args.bits
-            << " runs=" << args.runs << " seed=" << args.seed << "\n"
+      c.app.empty() ? apps::HotPatternAppNames()
+                    : std::vector<std::string>{c.app};
+  std::cout << "retry-budget sweep: scheme=" << sim::SchemeName(scheme)
+            << " blocks=" << c.faulty_blocks << " bits=" << c.bits_per_block
+            << " runs=" << c.runs << " seed=" << c.seed << "\n"
             << "budget 0 is the paper's detect-and-die pipeline; budget "
                "k adds tiered recovery with up to k re-executions.\n";
   for (const auto& name : names) {
-    auto app = apps::MakeApp(name, args.scale);
-    const auto profile = apps::ProfileApp(*app, args.cfg);
-    const unsigned cover = args.cover.value_or(
+    auto app = apps::MakeApp(name, c.scale);
+    const auto profile = apps::ProfileApp(*app, c.gpu);
+    const unsigned cover = c.cover.value_or(
         static_cast<unsigned>(profile.hot.coverage_order.size()));
-    const auto setup =
-        apps::MakeProtectionSetup(*app, profile, args.scheme, cover);
+    const auto setup = apps::MakeProtectionSetup(*app, profile, scheme, cover);
     const std::uint64_t run_cycles =
-        apps::RunTiming(*app, profile, args.cfg, setup.plan).cycles;
+        apps::RunTiming(*app, profile, c.gpu, setup.plan).cycles;
     for (unsigned budget = 0; budget <= args.retries; ++budget) {
       // Fresh campaign per budget point: the repeat-offender memory
       // must not leak between sweep points.
-      fault::FaultCampaign campaign(*app, profile, args.scheme, cover);
-      fault::CampaignConfig cc;
-      cc.target = args.target;
-      cc.faulty_blocks = args.blocks;
-      cc.bits_per_block = args.bits;
-      cc.runs = args.runs;
-      cc.seed = args.seed;
+      fault::FaultCampaign campaign(*app, profile, scheme, cover);
+      fault::CampaignConfig cc = fault::MakeCampaignConfig(c);
       cc.recovery.enabled = budget > 0;
       cc.recovery.max_retries = budget;
       const auto counts = campaign.Run(cc);
       const auto cost = core::ChargeRecovery(counts.recovery, counts.runs,
-                                             run_cycles, args.cfg);
+                                             run_cycles, c.gpu);
       std::cout << name << " budget=" << budget << " runs=" << counts.runs
                 << ": sdc " << counts.sdc << ", detected " << counts.detected
                 << ", recovered " << counts.recovered << ", masked "
@@ -952,28 +428,33 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   CliArgs args;
   args.command = argv[1];
+  args.req.campaign.runs = 200;  // the CLI's default trial count
+  // profile|timing|analyze|avf|campaign go through the executor.
+  const auto type = ValueOf(service::kRequestTypeNames, args.command);
+  const bool exec = type.has_value() && service::RunsApp(*type);
   int i = 2;
-  if (args.command == "profile" || args.command == "timing" ||
-      args.command == "campaign" || args.command == "analyze" ||
-      args.command == "avf" || args.command == "shard" ||
-      args.command == "shard-worker") {
+  if (exec || args.command == "shard" || args.command == "shard-worker") {
     if (argc < 3 || argv[2][0] == '-') return Usage();
-    args.app = argv[2];
+    if (exec) args.req.type = type.value();
+    args.req.campaign.app = argv[2];
     i = 3;
   } else if (args.command == "recover") {
     if (argc >= 3 && argv[2][0] != '-') {
-      args.app = argv[2];
+      args.req.campaign.app = argv[2];
       i = 3;
     }
   } else if (args.command == "request") {
     // dcrm request <type> [<app>] [flags]; stats/shutdown take no app.
     if (argc < 3 || argv[2][0] == '-') return Usage();
-    args.request_type = argv[2];
+    const auto t = ValueOf(service::kRequestTypeNames, argv[2]);
+    if (!t.has_value()) return Usage();
+    args.req.type = *t;
     i = 3;
     if (argc >= 4 && argv[3][0] != '-') {
-      args.app = argv[3];
+      args.req.campaign.app = argv[3];
       i = 4;
     }
+    if (service::RunsApp(*t) && args.req.campaign.app.empty()) return Usage();
   }
   try {
     for (; i < argc; ++i) {
@@ -982,46 +463,30 @@ int main(int argc, char** argv) {
         return Usage();
       }
     }
+    fault::ShardCampaignSpec& c = args.req.campaign;
+    if (!args.req.config_path.empty()) {
+      c.gpu = sim::LoadGpuConfigFile(args.req.config_path, c.gpu);
+    }
+    if (args.req.engine.has_value()) c.gpu.engine = *args.req.engine;
+    if (c.jobs == 0) c.jobs = std::max(1u, std::thread::hardware_concurrency());
     // Long-running commands drain at the next checkpointable boundary
     // on SIGINT/SIGTERM instead of dying mid-trial.
     if (args.command == "campaign" || args.command == "shard" ||
         args.command == "shard-worker" || args.command == "serve") {
       InstallStopHandler();
     }
+    if (exec) return CmdExecute(args);
     if (args.command == "apps") return CmdApps();
     if (args.command == "config") return CmdConfig(args);
-    if (args.command == "profile") return CmdProfile(args);
-    if (args.command == "timing") return CmdTiming(args);
-    if (args.command == "campaign") return CmdCampaign(args);
     if (args.command == "recover") return CmdRecover(args);
-    if (args.command == "analyze") return CmdAnalyze(args);
-    if (args.command == "avf") return CmdAvf(args);
     if (args.command == "shard") return CmdShard(args, argv[0]);
     if (args.command == "shard-worker") return CmdShardWorker(args);
     if (args.command == "serve") return CmdServe(args);
     if (args.command == "request") return CmdRequest(args);
-  } catch (const analysis::UnsoundPlanError& e) {
-    // The campaign-launch gate refused an uncertifiable plan. Print
-    // the full report so the misconfiguration is diagnosable, and exit
-    // with the analyzer's violation code.
-    std::cerr << "error: " << e.what() << '\n';
-    analysis::WriteText(e.report(), std::cerr);
-    return analysis::kExitViolations;
-  } catch (const core::DetectionTerminated& e) {
-    // A reliability outcome, not a tool failure: report what the
-    // detection hardware saw and exit distinctly so scripts can tell
-    // "the scheme fired" from "the tool broke".
-    std::cerr << "reliability: detection terminated the run (scheme="
-              << sim::SchemeName(args.scheme) << ", pc=" << e.pc()
-              << ", addr=0x" << std::hex << e.addr() << std::dec << ")\n";
-    return 3;
-  } catch (const mem::DueError& e) {
-    std::cerr << "reliability: SECDED uncorrectable error (addr=0x"
-              << std::hex << e.addr() << std::dec << ")\n";
-    return 4;
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
+    const service::ServedResult r = service::ErrorResult(e);
+    PrintError(r.error);
+    return r.exit_code;
   }
   return Usage();
 }
