@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   TextTable t({"config", "runs", "SDC", "detected", "masked",
                "norm exec time", "replica txns"});
   const auto base_setup = apps::MakeProtectionSetupForObjects(
-      *app, profile, sim::Scheme::kNone, {});
+      *app, sim::Scheme::kNone, {});
   const double base_cycles = static_cast<double>(
       apps::RunTiming(*app, profile, cfg, base_setup.plan).cycles);
 
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       if (o == fault::Outcome::kMasked) ++counts.masked;
     }
     const auto setup = apps::MakeProtectionSetupForObjects(
-        *app, profile, config.scheme, config.cover);
+        *app, config.scheme, config.cover);
     const auto stats = apps::RunTiming(*app, profile, cfg, setup.plan);
     t.NewRow()
         .Add(config.label)

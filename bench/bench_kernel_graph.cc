@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     const double base_cycles = static_cast<double>(base_stats.cycles);
 
     const auto wprot = apps::MakeProtectionSetupForObjects(
-        *app, profile, sim::Scheme::kDetectCorrect, weights);
+        *app, sim::Scheme::kDetectCorrect, weights);
     const double w_over =
         static_cast<double>(
             apps::RunTiming(*app, profile, cfg, wprot.plan).cycles) /

@@ -28,7 +28,6 @@ run $B/bench_ext_fault_shapes --runs=50
 run $B/bench_ext_online_detection
 run $B/bench_ext_writable --runs=50
 run $B/bench_ext_recovery --runs=40
-run $B/bench_parallel_speedup --runs=200 --json=BENCH_parallel_speedup.json
 # Importance sampling must hit >=5x fewer trials at matched confidence
 # (the bench exits nonzero otherwise, failing the sweep).
 run_tee results_importance_sampling.txt $B/bench_importance_sampling \
@@ -46,7 +45,6 @@ run $B/bench_shard_campaign --runs=20000
 # Service daemon: repeat-heavy mix over a live socket; exits nonzero
 # below a 90% cache hit rate or a <10x repeat-p50 speedup.
 run_tee results_service.txt $B/bench_service --json=BENCH_service.json
-run $B/bench_micro_components --benchmark_min_time=0.1
 # Crash-tolerance contract: the atomic writers (trace stores, shard
 # results, manifests) must never leave `*.tmp.<pid>` siblings behind,
 # even across the injected worker kills above. Fail the sweep if any

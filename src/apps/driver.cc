@@ -1,6 +1,7 @@
 #include "apps/driver.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 
 #include "exec/kernel_graph.h"
@@ -27,66 +28,76 @@ class TeeSink final : public exec::AccessSink {
 };
 }  // namespace
 
+Cover ResolveCover(const ProfileResult& profile, sim::Scheme scheme,
+                   std::optional<unsigned> count,
+                   std::span<const std::string> objects) {
+  Cover out;
+  if (scheme == sim::Scheme::kNone) return out;
+  out.scheme = scheme;
+  if (!objects.empty()) {
+    out.objects.assign(objects.begin(), objects.end());
+    return out;
+  }
+  const auto& order = profile.hot.coverage_order;
+  const unsigned n =
+      count.value_or(static_cast<unsigned>(profile.hot.hot_objects.size()));
+  if (n > order.size()) {
+    throw std::invalid_argument("cover_objects exceeds coverage order size");
+  }
+  std::vector<mem::ObjectId> ids;
+  for (unsigned i = 0; i < n; ++i) {
+    ids.push_back(order[i].id);
+    out.objects.push_back(order[i].name);
+  }
+  // Populate the LD/ST unit's PC tracking table with the load sites
+  // that touch the covered objects (Section IV-C: "store the addresses
+  // of load instructions to the corresponding data objects").
+  out.pcs = profile.profiler.PcsTouching(ids);
+  return out;
+}
+
+ProtectionSetup BuildProtection(App& app, const Cover& cover,
+                                bool lazy_compare,
+                                core::ReplicaPlacement placement) {
+  ProtectionSetup out;
+  out.dev = std::make_unique<mem::DeviceMemory>();
+  app.Setup(*out.dev);
+  if (cover.scheme == sim::Scheme::kNone || cover.objects.empty()) {
+    return out;
+  }
+  const mem::AddressSpace& space = out.dev->space();
+  std::vector<mem::ObjectId> ids;
+  bool any_writable = false;
+  for (const std::string& name : cover.objects) {
+    const auto id = space.FindByName(name);
+    if (!id) throw std::invalid_argument("unknown object: " + name);
+    ids.push_back(*id);
+    any_writable = any_writable || !space.Object(*id).read_only;
+  }
+  const unsigned copies =
+      cover.scheme == sim::Scheme::kDetectCorrect ? 2u : 1u;
+  const auto replicas = core::ReplicateObjects(*out.dev, ids, copies,
+                                               placement, 6,
+                                               /*allow_writable=*/true);
+  out.plan = core::MakeProtectionPlan(out.dev->space(), replicas,
+                                      cover.scheme, lazy_compare,
+                                      /*propagate_stores=*/any_writable);
+  out.plan.pcs = cover.pcs;
+  return out;
+}
+
 ProtectionSetup MakeProtectionSetup(App& app, const ProfileResult& profile,
                                     sim::Scheme scheme,
                                     unsigned cover_objects, bool lazy_compare,
                                     core::ReplicaPlacement placement) {
-  ProtectionSetup out;
-  out.dev = std::make_unique<mem::DeviceMemory>();
-  app.Setup(*out.dev);
-  if (scheme == sim::Scheme::kNone || cover_objects == 0) {
-    out.plan.scheme = sim::Scheme::kNone;
-    return out;
-  }
-  const auto& order = profile.hot.coverage_order;
-  if (cover_objects > order.size()) {
-    throw std::invalid_argument("cover_objects exceeds coverage order size");
-  }
-  std::vector<mem::ObjectId> ids;
-  ids.reserve(cover_objects);
-  for (unsigned i = 0; i < cover_objects; ++i) ids.push_back(order[i].id);
-  const unsigned copies = scheme == sim::Scheme::kDetectCorrect ? 2u : 1u;
-  const auto replicas = core::ReplicateObjects(*out.dev, ids, copies,
-                                               placement);
-  out.plan =
-      core::MakeProtectionPlan(out.dev->space(), replicas, scheme,
-                               lazy_compare);
-  // Populate the LD/ST unit's PC tracking table with the load sites
-  // that touch the covered objects (Section IV-C: "store the addresses
-  // of load instructions to the corresponding data objects").
-  out.plan.pcs = profile.profiler.PcsTouching(ids);
-  return out;
+  return BuildProtection(app, ResolveCover(profile, scheme, cover_objects),
+                         lazy_compare, placement);
 }
 
 ProtectionSetup MakeProtectionSetupForObjects(
-    App& app, const ProfileResult& profile, sim::Scheme scheme,
-    std::span<const std::string> object_names, bool lazy_compare) {
-  (void)profile;  // kept for signature symmetry with MakeProtectionSetup
-  ProtectionSetup out;
-  out.dev = std::make_unique<mem::DeviceMemory>();
-  app.Setup(*out.dev);
-  if (scheme == sim::Scheme::kNone || object_names.empty()) {
-    out.plan.scheme = sim::Scheme::kNone;
-    return out;
-  }
-  std::vector<mem::ObjectId> ids;
-  bool any_writable = false;
-  for (const auto& name : object_names) {
-    const auto id = out.dev->space().FindByName(name);
-    if (!id) throw std::invalid_argument("unknown object: " + name);
-    ids.push_back(*id);
-    any_writable = any_writable || !out.dev->space().Object(*id).read_only;
-  }
-  const unsigned copies = scheme == sim::Scheme::kDetectCorrect ? 2u : 1u;
-  const auto replicas = core::ReplicateObjects(
-      *out.dev, ids, copies, core::ReplicaPlacement::kDefault, 6,
-      /*allow_writable=*/true);
-  out.plan = core::MakeProtectionPlan(out.dev->space(), replicas, scheme,
-                                      lazy_compare,
-                                      /*propagate_stores=*/any_writable);
-  // Leave plan.pcs empty: with writable objects, store sites must be
-  // tracked too, and the address-range check subsumes both.
-  return out;
+    App& app, sim::Scheme scheme, std::span<const std::string> object_names) {
+  return BuildProtection(
+      app, Cover{scheme, {object_names.begin(), object_names.end()}, {}});
 }
 
 sim::GpuStats RunTiming(const App& app, const ProfileResult& profile,

@@ -5,6 +5,10 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "apps/app.h"
@@ -41,26 +45,53 @@ ProfileResult ProfileApp(App& app, const sim::GpuConfig& cfg,
                          std::shared_ptr<const trace::TraceStore> preloaded =
                              nullptr);
 
-// Builds a hardware protection plan for the first `cover_objects`
-// entries of the app's Table III coverage order, with replicas
-// actually allocated in a fresh device (so replica addresses are
-// realistic for the timing model's channel mapping).
+// What a protection plan replicates: `objects`, in this order, under
+// `scheme`. `pcs` fills the LD/ST unit's PC table; empty means the
+// address-range check alone decides (what a named cover uses, since
+// its store sites must be tracked too). No objects, or Scheme::kNone,
+// leaves the app unprotected.
+struct Cover {
+  sim::Scheme scheme = sim::Scheme::kNone;
+  std::vector<std::string> objects;
+  std::unordered_set<Pc> pcs;
+};
+
+// Resolves a request's cover against `profile` — the one place the
+// default lives. Scheme::kNone is unprotected. Non-empty `objects`
+// names the set, which may include writable objects. Otherwise the
+// first `count` objects of the Table III coverage order are covered
+// (default: the hot-object count), with the load sites that touch
+// them in the PC table (Section IV-C). Throws std::invalid_argument
+// when `count` exceeds the coverage order.
+Cover ResolveCover(const ProfileResult& profile, sim::Scheme scheme,
+                   std::optional<unsigned> count,
+                   std::span<const std::string> objects = {});
+
+// Builds the plan for `cover` on a fresh device of `app`, with the
+// replicas actually allocated (so replica addresses are realistic for
+// the timing model's channel mapping). Store propagation turns on
+// when a covered object is read-write (the paper's schemes cover
+// read-only inputs only; see ProtectionPlan::propagate_stores). Throws
+// std::invalid_argument on an object name the app does not have.
 struct ProtectionSetup {
   std::unique_ptr<mem::DeviceMemory> dev;
   sim::ProtectionPlan plan;
 };
+ProtectionSetup BuildProtection(
+    App& app, const Cover& cover, bool lazy_compare = true,
+    core::ReplicaPlacement placement = core::ReplicaPlacement::kDefault);
+
+// The first `cover_objects` entries of the coverage order; 0 or
+// Scheme::kNone leaves the app unprotected.
 ProtectionSetup MakeProtectionSetup(
     App& app, const ProfileResult& profile, sim::Scheme scheme,
     unsigned cover_objects, bool lazy_compare = true,
     core::ReplicaPlacement placement = core::ReplicaPlacement::kDefault);
 
 // Extension: protect an explicit set of objects by name, including
-// writable ones — store propagation is enabled automatically when any
-// named object is read-write (the paper's schemes cover read-only
-// inputs only; see ProtectionPlan::propagate_stores).
+// writable ones.
 ProtectionSetup MakeProtectionSetupForObjects(
-    App& app, const ProfileResult& profile, sim::Scheme scheme,
-    std::span<const std::string> object_names, bool lazy_compare = true);
+    App& app, sim::Scheme scheme, std::span<const std::string> object_names);
 
 // Replays the profiled traces through the cycle-level simulator under
 // `plan`, with the app's arithmetic intensity.

@@ -98,11 +98,6 @@ AccessProfiler::SortedByReads() const {
   return out;
 }
 
-void AccessProfiler::RestoreBlock(std::uint64_t block,
-                                  const BlockProfile& bp) {
-  blocks_[block] = bp;
-}
-
 void AccessProfiler::AttachMissProfile(
     const std::unordered_map<std::uint64_t, std::uint64_t>& misses) {
   for (const auto& [block, count] : misses) {

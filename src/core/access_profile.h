@@ -72,8 +72,7 @@ class AccessProfiler final : public exec::AccessSink {
   // Thread-level read counts per object, split by kernel epoch (the
   // i-th entry is reads during the i-th BeginKernel/EndKernel
   // bracket). Needs AttachSpace; feeds the cross-kernel hotness view
-  // (ObjectProfile::kernels_reading / max_kernel_reads). Not persisted
-  // by profile_io — restored profiles recompute it by re-profiling.
+  // (ObjectProfile::kernels_reading / max_kernel_reads).
   const std::unordered_map<mem::ObjectId, std::vector<std::uint64_t>>&
   object_kernel_reads() const {
     return obj_kernel_reads_;
@@ -92,14 +91,6 @@ class AccessProfiler final : public exec::AccessSink {
   // Adds per-block coalesced-load-transaction counts (from the traces).
   void AttachTxnProfile(
       const std::unordered_map<std::uint64_t, std::uint64_t>& txns);
-
-  // Restore hooks used by profile_io when loading a saved profile.
-  void RestoreBlock(std::uint64_t block, const BlockProfile& bp);
-  void RestorePc(Pc pc, const PcStats& stats) { pcs_[pc] = stats; }
-  void RestoreTotals(std::uint64_t reads, std::uint64_t writes) {
-    total_reads_ = reads;
-    total_writes_ = writes;
-  }
 
  private:
   std::unordered_map<std::uint64_t, BlockProfile> blocks_;

@@ -26,33 +26,11 @@ std::uint64_t TrialSeed(std::uint64_t campaign_seed, std::uint64_t trial) {
 FaultCampaign::FaultCampaign(apps::App& app,
                              const apps::ProfileResult& profile,
                              sim::Scheme scheme, unsigned cover_objects,
-                             mem::EccMode ecc,
-                             core::ReplicaPlacement placement,
-                             bool allow_unsound,
+                             mem::EccMode ecc, bool allow_unsound,
                              std::shared_ptr<const CampaignTables> shared_tables)
-    : app_(&app), profile_(&profile) {
-  app_->Setup(dev_);
-  dev_.set_ecc_mode(ecc);
-
-  if (scheme != sim::Scheme::kNone && cover_objects > 0) {
-    const auto& order = profile.hot.coverage_order;
-    if (cover_objects > order.size()) {
-      throw std::invalid_argument("cover_objects exceeds coverage order size");
-    }
-    std::vector<mem::ObjectId> ids;
-    ids.reserve(cover_objects);
-    for (unsigned i = 0; i < cover_objects; ++i) ids.push_back(order[i].id);
-    const unsigned copies = scheme == sim::Scheme::kDetectCorrect ? 2u : 1u;
-    const auto replicas =
-        core::ReplicateObjects(dev_, ids, copies, placement);
-    plan_ = core::MakeProtectionPlan(dev_.space(), replicas, scheme);
-    plan_.pcs = profile.profiler.PcsTouching(ids);
-    protected_plane_ =
-        std::make_unique<core::ProtectedDataPlane>(dev_, plan_);
-  }
-
-  FinishInit(allow_unsound, std::move(shared_tables));
-}
+    : FaultCampaign(app, profile,
+                    apps::ResolveCover(profile, scheme, cover_objects), ecc,
+                    allow_unsound, std::move(shared_tables)) {}
 
 FaultCampaign::FaultCampaign(apps::App& app,
                              const apps::ProfileResult& profile,
@@ -60,35 +38,24 @@ FaultCampaign::FaultCampaign(apps::App& app,
                              const std::vector<std::string>& object_names,
                              mem::EccMode ecc, bool allow_unsound,
                              std::shared_ptr<const CampaignTables> shared_tables)
+    : FaultCampaign(app, profile, apps::Cover{scheme, object_names, {}}, ecc,
+                    allow_unsound, std::move(shared_tables)) {}
+
+FaultCampaign::FaultCampaign(apps::App& app,
+                             const apps::ProfileResult& profile,
+                             const apps::Cover& cover, mem::EccMode ecc,
+                             bool allow_unsound,
+                             std::shared_ptr<const CampaignTables> shared_tables)
     : app_(&app), profile_(&profile) {
-  app_->Setup(dev_);
-  dev_.set_ecc_mode(ecc);
-
-  if (scheme != sim::Scheme::kNone && !object_names.empty()) {
-    std::vector<mem::ObjectId> ids;
-    bool any_writable = false;
-    for (const auto& name : object_names) {
-      const auto id = dev_.space().FindByName(name);
-      if (!id) throw std::invalid_argument("unknown object: " + name);
-      ids.push_back(*id);
-      any_writable = any_writable || !dev_.space().Object(*id).read_only;
-    }
-    const unsigned copies = scheme == sim::Scheme::kDetectCorrect ? 2u : 1u;
-    const auto replicas = core::ReplicateObjects(
-        dev_, ids, copies, core::ReplicaPlacement::kDefault, 6,
-        /*allow_writable=*/true);
-    plan_ = core::MakeProtectionPlan(dev_.space(), replicas, scheme,
-                                     /*lazy_compare=*/true,
-                                     /*propagate_stores=*/any_writable);
-    protected_plane_ =
-        std::make_unique<core::ProtectedDataPlane>(dev_, plan_);
+  apps::ProtectionSetup setup = apps::BuildProtection(app, cover);
+  dev_ = std::move(setup.dev);
+  plan_ = std::move(setup.plan);
+  // ECC only changes how faulty reads resolve, so setting it after
+  // replication leaves the image and the plan as built.
+  dev_->set_ecc_mode(ecc);
+  if (plan_.scheme != sim::Scheme::kNone) {
+    protected_plane_ = std::make_unique<core::ProtectedDataPlane>(*dev_, plan_);
   }
-  FinishInit(allow_unsound, std::move(shared_tables));
-}
-
-void FaultCampaign::FinishInit(
-    bool allow_unsound, std::shared_ptr<const CampaignTables> shared_tables) {
-  const apps::ProfileResult& profile = *profile_;
 
   // Campaign-launch gate: certify the plan against the recorded access
   // streams before a single fault is injected. A campaign over an
@@ -98,7 +65,7 @@ void FaultCampaign::FinishInit(
   if (!allow_unsound && plan_.scheme != sim::Scheme::kNone) {
     analysis::AnalyzerInput in;
     in.traces = profile.trace_store.get();
-    in.space = &dev_.space();
+    in.space = &dev_->space();
     in.plan = &plan_;
     const analysis::Report report = analysis::Analyze(in);
     const auto blocking = analysis::BlockingFindings(report, plan_);
@@ -116,7 +83,7 @@ void FaultCampaign::FinishInit(
     // Fan-out replica of an identically-configured campaign: reuse its
     // immutable tables. Apps initialize deterministically, so the only
     // thing worth validating is that the store layouts agree.
-    if (shared_tables->snapshot.size() != dev_.space().StoreSize()) {
+    if (shared_tables->snapshot.size() != dev_->space().StoreSize()) {
       throw std::invalid_argument(
           "shared campaign tables disagree with this device's store size");
     }
@@ -125,11 +92,11 @@ void FaultCampaign::FinishInit(
   }
 
   auto tables = std::make_shared<CampaignTables>();
-  tables->snapshot.assign(dev_.space().Data(),
-                          dev_.space().Data() + dev_.space().StoreSize());
+  tables->snapshot.assign(dev_->space().Data(),
+                          dev_->space().Data() + dev_->space().StoreSize());
 
   tables->split = core::SplitBlocks(profile.hot, profile.profiler,
-                                    dev_.space());
+                                    dev_->space());
 
   // Exposure-weighted sampling tables (the Fig. 8 selection step).
   // The weight of a block is its count of L2/DRAM-visible load
@@ -149,7 +116,7 @@ void FaultCampaign::FinishInit(
   // reweighted estimator stays unbiased no matter how the trial ends.
   if (profile.trace_store != nullptr) {
     auto vuln = std::make_shared<analysis::VulnerabilityMap>(
-        analysis::AnalyzeVulnerability(*profile.trace_store, dev_.space(),
+        analysis::AnalyzeVulnerability(*profile.trace_store, dev_->space(),
                                        app_->OutputObjects()));
     const auto reachable = [&](std::uint64_t block) {
       const analysis::BlockLiveness* b = vuln->Find(block);
@@ -195,14 +162,14 @@ std::vector<float> FaultCampaign::ReadObservedOutputs() const {
   // through the reliability layer: protected output reads are voted /
   // compared instead of trusting a possibly-faulty primary cell.
   if (protected_plane_ == nullptr || !plan_.propagate_stores) {
-    return apps::ReadOutputs(*app_, dev_);
+    return apps::ReadOutputs(*app_, *dev_);
   }
   std::vector<float> out;
   auto& plane = *protected_plane_;
   for (const std::string& name : app_->OutputObjects()) {
-    const auto id = dev_.space().FindByName(name);
+    const auto id = dev_->space().FindByName(name);
     if (!id) throw std::logic_error("unknown output object: " + name);
-    const auto& obj = dev_.space().Object(*id);
+    const auto& obj = dev_->space().Object(*id);
     const std::size_t n = obj.size_bytes / sizeof(float);
     for (std::size_t i = 0; i < n; ++i) {
       float v = 0;
@@ -278,7 +245,7 @@ std::vector<std::uint64_t> FaultCampaign::SelectBlocks(
 }
 
 void FaultCampaign::EnableRecovery(const core::RecoveryConfig& cfg) {
-  recovery_ = std::make_unique<core::RecoveryManager>(dev_, cfg);
+  recovery_ = std::make_unique<core::RecoveryManager>(*dev_, cfg);
   recovery_->SetSnapshot(tables_->snapshot);
   if (protected_plane_) {
     recovery_->AttachPlane(protected_plane_.get());
@@ -287,11 +254,11 @@ void FaultCampaign::EnableRecovery(const core::RecoveryConfig& cfg) {
 }
 
 Outcome FaultCampaign::RunOnce(const std::vector<mem::StuckAtFault>& faults) {
-  dev_.faults().Clear();
-  for (const auto& f : faults) dev_.faults().Add(f);
+  dev_->faults().Clear();
+  for (const auto& f : faults) dev_->faults().Add(f);
   if (recovery_) recovery_->BeginRun();
 
-  exec::DirectDataPlane direct(dev_);
+  exec::DirectDataPlane direct(*dev_);
   exec::DataPlane& plane =
       protected_plane_ ? static_cast<exec::DataPlane&>(*protected_plane_)
                        : direct;
@@ -303,9 +270,9 @@ Outcome FaultCampaign::RunOnce(const std::vector<mem::StuckAtFault>& faults) {
   for (;;) {
     // Restore the pristine store (inputs, zeroed outputs, replicas).
     const std::vector<std::byte>& snapshot = tables_->snapshot;
-    std::memcpy(dev_.space().Data(), snapshot.data(), snapshot.size());
+    std::memcpy(dev_->space().Data(), snapshot.data(), snapshot.size());
     if (recovery_) recovery_->RefreshRetiredFromSnapshot();
-    dev_.ResetEccCounters();
+    dev_->ResetEccCounters();
     try {
       apps::RunKernels(*app_, plane, nullptr);
       const std::vector<float> observed = ReadObservedOutputs();
@@ -344,8 +311,8 @@ TrialResult FaultCampaign::RunTrial(const CampaignConfig& cfg,
     // filter or a 4B width scalar).
     const Addr base = block * kBlockSize;
     Addr hi = base + kBlockSize;
-    if (const auto owner = dev_.space().OwnerOf(base)) {
-      hi = std::min<Addr>(hi, dev_.space().Object(*owner).end());
+    if (const auto owner = dev_->space().OwnerOf(base)) {
+      hi = std::min<Addr>(hi, dev_->space().Object(*owner).end());
     }
     std::vector<mem::StuckAtFault> fs;
     switch (cfg.shape) {
@@ -359,7 +326,7 @@ TrialResult FaultCampaign::RunTrial(const CampaignConfig& cfg,
         const sim::GpuConfig gc;
         const sim::AddrMap map{gc.num_partitions, gc.dram_banks,
                                gc.BlocksPerRow()};
-        fs = MakeDramRowFaults(block, map, dev_.space().StoreSize(), rng);
+        fs = MakeDramRowFaults(block, map, dev_->space().StoreSize(), rng);
         break;
       }
     }

@@ -21,7 +21,6 @@
 #include "common/stats.h"
 #include "core/protection.h"
 #include "core/recovery.h"
-#include "core/replication.h"
 #include "sim/replication.h"
 
 namespace dcrm::analysis {
@@ -188,35 +187,38 @@ struct CampaignTables {
 // a 1000-run campaign costs 1000 kernel executions, not 1000 setups.
 class FaultCampaign {
  public:
-  // `cover_objects` protects the first N objects of the Table III
-  // coverage order with `scheme`; 0 or Scheme::kNone leaves the app
-  // unprotected. `profile` must come from ProfileApp on this same app
-  // (same scale).
+  // Runs `app` under the plan apps::BuildProtection builds for
+  // `cover`, on that builder's device. `profile` must come from
+  // ProfileApp on this same app (same scale).
   //
   // Launch gate: before any run, the static analyzer (src/analysis)
   // certifies the plan against the recorded access streams. Blocking
   // violations — a covered object the traces store to, replica
   // aliasing, LD/ST-table overflow — throw analysis::UnsoundPlanError
   // unless `allow_unsound` is set, so an unsound campaign cannot
-  // silently produce garbage statistics.
+  // silently produce garbage statistics. Read-only/race violations
+  // that store propagation soundly mitigates (a named cover with
+  // writable objects) are downgraded, not blocking.
   // `shared_tables` (optional) reuses another identically-configured
   // campaign's immutable tables instead of rebuilding them — the
   // parallel engine passes worker 0's tables to workers 1..N-1.
   FaultCampaign(apps::App& app, const apps::ProfileResult& profile,
+                const apps::Cover& cover,
+                mem::EccMode ecc = mem::EccMode::kNone,
+                bool allow_unsound = false,
+                std::shared_ptr<const CampaignTables> shared_tables = nullptr);
+
+  // The first `cover_objects` objects of the Table III coverage order
+  // under `scheme`; 0 or Scheme::kNone leaves the app unprotected.
+  FaultCampaign(apps::App& app, const apps::ProfileResult& profile,
                 sim::Scheme scheme, unsigned cover_objects,
                 mem::EccMode ecc = mem::EccMode::kNone,
-                core::ReplicaPlacement placement =
-                    core::ReplicaPlacement::kDefault,
                 bool allow_unsound = false,
                 std::shared_ptr<const CampaignTables> shared_tables = nullptr);
 
   // Extension: protect an explicit set of objects by name, including
   // writable ones (store propagation keeps the copies coherent, and
-  // the host reads protected outputs through the voting plane). The
-  // launch gate downgrades read-only/race violations that store
-  // propagation soundly mitigates, so naming writable objects — the
-  // explicit opt-in to the extension — passes; other violations still
-  // refuse the launch unless `allow_unsound` is set.
+  // the host reads protected outputs through the voting plane).
   FaultCampaign(apps::App& app, const apps::ProfileResult& profile,
                 sim::Scheme scheme,
                 const std::vector<std::string>& object_names,
@@ -273,7 +275,7 @@ class FaultCampaign {
   const analysis::VulnerabilityMap* vulnerability() const {
     return tables_->vulnerability.get();
   }
-  mem::EccMode ecc_mode() const { return dev_.ecc_mode(); }
+  mem::EccMode ecc_mode() const { return dev_->ecc_mode(); }
 
   // Importance-sampling share for a target: the fraction of the
   // target's selection probability mass on SDC-reachable blocks. The
@@ -284,19 +286,17 @@ class FaultCampaign {
   }
 
  private:
-  void FinishInit(bool allow_unsound,
-                  std::shared_ptr<const CampaignTables> shared_tables);
   std::vector<float> ReadObservedOutputs() const;
   std::vector<std::uint64_t> SelectBlocks(const CampaignConfig& cfg,
                                           Rng& rng) const;
 
   apps::App* app_;
   const apps::ProfileResult* profile_;
-  mem::DeviceMemory dev_;
+  std::unique_ptr<mem::DeviceMemory> dev_;  // the builder's device
   sim::ProtectionPlan plan_;
   std::unique_ptr<core::ProtectedDataPlane> protected_plane_;
   std::unique_ptr<core::RecoveryManager> recovery_;
-  // Immutable after FinishInit; shared across parallel workers.
+  // Immutable after construction; shared across parallel workers.
   std::shared_ptr<const CampaignTables> tables_;
   std::uint64_t last_corrections_ = 0;
   core::EscalationLedger ledger_;

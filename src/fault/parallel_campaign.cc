@@ -198,6 +198,8 @@ ParallelCampaign::ParallelCampaign(CampaignSpec spec, unsigned jobs) {
         "ParallelCampaign needs an app factory and a profile");
   }
   jobs = std::max(jobs, 1u);
+  const apps::Cover cover = apps::ResolveCover(
+      *spec.profile, spec.scheme, spec.cover_objects, spec.object_names);
   instances_.reserve(jobs);
   for (unsigned w = 0; w < jobs; ++w) {
     Worker inst;
@@ -214,15 +216,9 @@ ParallelCampaign::ParallelCampaign(CampaignSpec spec, unsigned jobs) {
     const bool allow_unsound = w == 0 ? spec.allow_unsound : true;
     const std::shared_ptr<const CampaignTables> shared =
         w == 0 ? spec.shared_tables : instances_.front().campaign->tables();
-    if (!spec.object_names.empty()) {
-      inst.campaign = std::make_unique<FaultCampaign>(
-          *inst.app, *spec.profile, spec.scheme, spec.object_names, spec.ecc,
-          allow_unsound, shared);
-    } else {
-      inst.campaign = std::make_unique<FaultCampaign>(
-          *inst.app, *spec.profile, spec.scheme, spec.cover_objects, spec.ecc,
-          spec.placement, allow_unsound, shared);
-    }
+    inst.campaign = std::make_unique<FaultCampaign>(
+        *inst.app, *spec.profile, cover, mem::EccMode::kNone, allow_unsound,
+        shared);
     instances_.push_back(std::move(inst));
   }
   workers_.reserve(instances_.size());

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -114,13 +115,12 @@ std::vector<PrefixCounts> RunCampaignPrefixes(
 struct CampaignSpec {
   std::function<std::unique_ptr<apps::App>()> make_app;
   const apps::ProfileResult* profile = nullptr;
+  // The cover, resolved once by apps::ResolveCover: `object_names`
+  // when non-empty (the writable extension), else the first
+  // `cover_objects` of the coverage order (nullopt: the hot objects).
   sim::Scheme scheme = sim::Scheme::kNone;
-  unsigned cover_objects = 0;
-  // Non-empty selects the explicit-objects constructor (the writable
-  // extension) and ignores cover_objects.
+  std::optional<unsigned> cover_objects;
   std::vector<std::string> object_names;
-  mem::EccMode ecc = mem::EccMode::kNone;
-  core::ReplicaPlacement placement = core::ReplicaPlacement::kDefault;
   bool allow_unsound = false;
   // When set, worker 0 adopts these immutable tables instead of
   // rebuilding them (the service's content-addressed table cache).

@@ -131,11 +131,7 @@ CampaignSpec MakeCampaignSpec(const ShardCampaignSpec& spec,
   };
   cs.profile = &profile;
   cs.scheme = spec.scheme;
-  cs.cover_objects =
-      spec.scheme == sim::Scheme::kNone
-          ? 0
-          : spec.cover.value_or(
-                static_cast<unsigned>(profile.hot.hot_objects.size()));
+  cs.cover_objects = spec.cover;
   cs.object_names = spec.objects;
   cs.allow_unsound = spec.allow_unsound;
   return cs;

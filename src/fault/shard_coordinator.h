@@ -74,9 +74,8 @@ bool CoupledAcrossTrials(const ShardCampaignSpec& spec);
 
 CampaignConfig MakeCampaignConfig(const ShardCampaignSpec& spec);
 
-// The engine-side spec of this campaign over `profile`, with the cover
-// resolved the way every front end resolves it: all hot objects unless
-// `cover` says otherwise, none without a scheme.
+// The engine-side spec of this campaign over `profile`; the engine
+// resolves its cover with apps::ResolveCover.
 CampaignSpec MakeCampaignSpec(const ShardCampaignSpec& spec,
                               const apps::ProfileResult& profile);
 

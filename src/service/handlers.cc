@@ -131,7 +131,8 @@ std::string ResultKey(const ExecOptions& opts, const RequestSpec& req) {
     case RequestType::kTiming:
       return "result|timing|" + base + "|scheme=" +
              NameOf(sim::kSchemeNames, c.scheme) + "|cover=" +
-             CoverMark(c.cover);
+             CoverMark(c.cover) +
+             (c.objects.empty() ? "" : "|objects=" + ObjectsMark(c.objects));
     case RequestType::kAnalyze:
       return "result|analyze|" + base + "|" + PlanParams(c);
     case RequestType::kAvf:
@@ -179,9 +180,11 @@ std::string TimingCsv(const apps::TimingDetail& d) {
 
 // The campaign summary block: the header/counts lines, the
 // importance-sampling rescale line (when enabled and trials ran), and
-// the recovery line (when recovery is enabled). `sampling_share` is
+// the recovery line (when recovery is enabled). `cover` is how many
+// objects the plan protects; `sampling_share` is
 // FaultCampaign::SamplingShare for the configured target.
-std::string CampaignSummary(const fault::ShardCampaignSpec& c, unsigned cover,
+std::string CampaignSummary(const fault::ShardCampaignSpec& c,
+                            std::size_t cover,
                             const fault::CampaignConfig& cc,
                             const fault::CampaignCounts& counts,
                             unsigned jobs, double sampling_share) {
@@ -240,23 +243,27 @@ ServedResult DoProfile(const RequestSpec& req, const ProfileArtifact& art) {
   return r;
 }
 
+// The plan a request asks for, built on a fresh device of its app.
+apps::ProtectionSetup BuildPlan(const RequestSpec& req,
+                                const ProfileArtifact& art) {
+  const fault::ShardCampaignSpec& c = req.campaign;
+  return apps::BuildProtection(
+      *art.app, apps::ResolveCover(art.profile, c.scheme, c.cover, c.objects));
+}
+
 ServedResult DoTiming(const RequestSpec& req, const ProfileArtifact& art,
                       const sim::GpuConfig& gpu) {
   apps::App& app = *art.app;
   const apps::ProfileResult& profile = art.profile;
-  const unsigned cover = req.campaign.cover.value_or(
-      static_cast<unsigned>(profile.hot.hot_objects.size()));
-  const auto base =
-      apps::MakeProtectionSetup(app, profile, sim::Scheme::kNone, 0);
-  const auto base_stats = apps::RunTiming(app, profile, gpu, base.plan);
-  const auto setup =
-      apps::MakeProtectionSetup(app, profile, req.campaign.scheme, cover);
+  const auto base_stats =
+      apps::RunTiming(app, profile, gpu, sim::ProtectionPlan{});
+  const apps::ProtectionSetup setup = BuildPlan(req, art);
   const auto detail = apps::RunTimingDetailed(app, profile, gpu, setup.plan);
   const auto& stats = detail.total;
   std::ostringstream os;
   os << req.campaign.app
      << " scheme=" << sim::SchemeName(req.campaign.scheme)
-     << " cover=" << cover
+     << " cover=" << setup.plan.ranges.size()
      << " engine=" << NameOf(sim::kEngineNames, gpu.engine) << "\n"
      << "cycles " << stats.cycles << " (baseline " << base_stats.cycles
      << ", overhead "
@@ -275,29 +282,10 @@ ServedResult DoTiming(const RequestSpec& req, const ProfileArtifact& art,
   return r;
 }
 
-apps::ProtectionSetup MakePlanSetup(const RequestSpec& req,
-                                    const ProfileArtifact& art,
-                                    bool force_zero_cover_unprotected) {
-  apps::App& app = *art.app;
-  const apps::ProfileResult& profile = art.profile;
-  if (!req.campaign.objects.empty()) {
-    return apps::MakeProtectionSetupForObjects(
-        app, profile, req.campaign.scheme, req.campaign.objects);
-  }
-  unsigned cover = req.campaign.cover.value_or(
-      static_cast<unsigned>(profile.hot.hot_objects.size()));
-  if (force_zero_cover_unprotected &&
-      req.campaign.scheme == sim::Scheme::kNone) {
-    cover = 0;
-  }
-  return apps::MakeProtectionSetup(app, profile, req.campaign.scheme, cover);
-}
-
 ServedResult DoAnalyze(const RequestSpec& req, const ProfileArtifact& art,
                        const sim::GpuConfig& gpu) {
   const apps::ProfileResult& profile = art.profile;
-  const apps::ProtectionSetup setup =
-      MakePlanSetup(req, art, /*force_zero_cover_unprotected=*/false);
+  const apps::ProtectionSetup setup = BuildPlan(req, art);
   analysis::AnalyzerInput in;
   in.traces = profile.trace_store.get();
   in.space = &setup.dev->space();
@@ -333,8 +321,7 @@ ServedResult DoAnalyze(const RequestSpec& req, const ProfileArtifact& art,
 
 ServedResult DoAvf(const RequestSpec& req, const ProfileArtifact& art) {
   const apps::ProfileResult& profile = art.profile;
-  const apps::ProtectionSetup setup =
-      MakePlanSetup(req, art, /*force_zero_cover_unprotected=*/true);
+  const apps::ProtectionSetup setup = BuildPlan(req, art);
   const auto map = analysis::AnalyzeVulnerability(
       *profile.trace_store, setup.dev->space(), art.app->OutputObjects());
   std::ostringstream os;
@@ -560,13 +547,13 @@ std::vector<ServedResult> ExecContext::ExecuteCampaignBatch(
     const auto art = ResolveProfile(lead);
     const apps::ProfileResult& profile = art->profile;
     fault::CampaignSpec spec = fault::MakeCampaignSpec(lead.campaign, profile);
-    const unsigned cover = spec.cover_objects;
 
     const std::string tables_key =
         "tables|" + BaseKey(opts_, lead) + "|" + PlanParams(lead.campaign);
     spec.shared_tables = cache_.Get<fault::CampaignTables>(tables_key);
     const bool had_tables = spec.shared_tables != nullptr;
     fault::ParallelCampaign campaign(std::move(spec), opts_.jobs);
+    const std::size_t cover = campaign.front().plan().ranges.size();
     if (!had_tables) {
       auto tables = campaign.front().tables();
       cache_.Put(tables_key, tables, TablesBytes(*tables));

@@ -89,7 +89,7 @@ TEST(AnalyzeApps, GramschmidtWritablePlanIsReadOnlyViolation) {
   const auto profile = apps::ProfileApp(*app, sim::GpuConfig{});
   const std::vector<std::string> cover{"A", "Q", "R"};
   const auto setup = apps::MakeProtectionSetupForObjects(
-      *app, profile, sim::Scheme::kDetectCorrect, cover);
+      *app, sim::Scheme::kDetectCorrect, cover);
   ASSERT_TRUE(setup.plan.propagate_stores);
   analysis::AnalyzerInput in;
   in.traces = profile.trace_store.get();
@@ -455,7 +455,6 @@ TEST(CampaignGate, RefusesUnsoundPlanUnlessAllowed) {
   // ...unless explicitly overridden.
   fault::FaultCampaign forced(app, profile, sim::Scheme::kDetectOnly, 1,
                               mem::EccMode::kNone,
-                              core::ReplicaPlacement::kDefault,
                               /*allow_unsound=*/true);
   EXPECT_EQ(forced.RunOnce({}), fault::Outcome::kDetected)
       << "an unsound lazy-compare plan misfires even fault-free — the "

@@ -54,8 +54,7 @@ std::vector<Command> CommandsFor(const std::string& name) {
              "--importance-sampling", "--target=hot", csv}};
   }
   if (name == "load-trace") {
-    return {{"profile", "P-BICG", t, "--save-trace=$OUT/bicg.trc",
-             "--save=$OUT/bicg.prof"},
+    return {{"profile", "P-BICG", t, "--save-trace=$OUT/bicg.trc"},
             {"profile", "P-BICG", t, "--load-trace=$OUT/bicg.trc"},
             {"timing", "P-BICG", t, "--scheme=correct",
              "--load-trace=$OUT/bicg.trc", csv},
@@ -72,6 +71,12 @@ std::vector<Command> CommandsFor(const std::string& name) {
              objs, "--allow-unsound", csv},
             {"campaign", "C-NN", t, "--runs=16", "--scheme=detect",
              "--objects=no-such-object", csv}};
+  }
+  if (name == "timing-objects") {
+    return {{"timing", "P-GRAMSCHM", t, "--scheme=correct",
+             "--objects=A,Q,R"},
+            {"timing", "C-NN", t, "--scheme=detect",
+             "--objects=no-such-object"}};
   }
   if (name == "recovery") {
     return {{"campaign", "P-ATAX", t, "--runs=48", "--scheme=detect",
@@ -179,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(Flags, CliGolden,
                          ::testing::Values("cross-check",
                                            "importance-sampling",
                                            "load-trace", "objects",
-                                           "recovery"),
+                                           "recovery", "timing-objects"),
                          CaseName);
 
 }  // namespace

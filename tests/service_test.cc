@@ -404,6 +404,31 @@ TEST(ServiceExecTest, FailuresMapToCliExitCodes) {
   EXPECT_EQ(rt.exit_code, 1);
 }
 
+TEST(ServiceExecTest, TimingHonoursNamedObjects) {
+  service::ExecContext ctx(service::ExecOptions{});
+  service::RequestSpec req;
+  req.type = service::RequestType::kTiming;
+  req.campaign.app = "P-GRAMSCHM";
+  req.campaign.scale = apps::AppScale::kTiny;
+  req.campaign.scheme = sim::Scheme::kDetectCorrect;
+  const service::ServedResult hot = ctx.Execute(req);
+  ASSERT_TRUE(hot.ok) << hot.error;
+
+  // Its own cache identity, and the named plan is the one timed.
+  req.campaign.objects = {"A", "Q", "R"};
+  const service::ServedResult named = ctx.Execute(req);
+  ASSERT_TRUE(named.ok) << named.error;
+  EXPECT_FALSE(named.cached);
+  EXPECT_NE(named.text.find(" cover=3 "), std::string::npos) << named.text;
+  EXPECT_EQ(named.text.find("replica txns 0;"), std::string::npos)
+      << named.text;
+
+  req.campaign.objects = {"no-such-object"};
+  const service::ServedResult bad = ctx.Execute(req);
+  EXPECT_EQ(bad.exit_code, 1);
+  EXPECT_NE(bad.error.find("unknown object"), std::string::npos) << bad.error;
+}
+
 TEST(ServiceExecTest, CrossCheckAppendsVerdictUnderItsOwnKey) {
   service::ExecContext ctx(service::ExecOptions{});
   const service::RequestSpec plain = CampaignReq(24);
@@ -608,26 +633,28 @@ TEST(ServiceServerTest, FinishedConnectionThreadsAreReaped) {
       << "VmSize grew from " << before_kb << " kB to " << after_kb << " kB";
 }
 
+// Polls a spawned `dcrm serve` until it answers a stats request.
+bool WaitForDaemon(const std::string& sock) {
+  for (int i = 0; i < 100; ++i) {
+    try {
+      auto client = service::Client::Connect(sock);
+      service::RequestSpec stats;
+      stats.type = service::RequestType::kStats;
+      if (client.Call(stats).ok) return true;
+    } catch (const net::SocketError&) {
+      SleepMs(100);
+    }
+  }
+  return false;
+}
+
 TEST(ServiceServerTest, SigtermDrainsServeSubprocess) {
   const std::string dir = TestDir("sigterm");
   const std::string sock = dir + "/d.sock";
   Subprocess daemon = Subprocess::Spawn(
       {DCRM_BIN, "serve", "--socket=" + sock}, dir + "/serve.out",
       dir + "/serve.err");
-
-  // Wait for the daemon to bind.
-  bool up = false;
-  for (int i = 0; i < 100 && !up; ++i) {
-    try {
-      auto client = service::Client::Connect(sock);
-      service::RequestSpec stats;
-      stats.type = service::RequestType::kStats;
-      up = client.Call(stats).ok;
-    } catch (const net::SocketError&) {
-      SleepMs(100);
-    }
-  }
-  ASSERT_TRUE(up) << "daemon never came up";
+  ASSERT_TRUE(WaitForDaemon(sock)) << "daemon never came up";
 
   auto client = service::Client::Connect(sock);
   const service::Response resp = client.Call(CampaignReq(16));
@@ -638,6 +665,42 @@ TEST(ServiceServerTest, SigtermDrainsServeSubprocess) {
   const ExitStatus status = daemon.Wait();
   EXPECT_TRUE(status.ok()) << status.Describe();
   EXPECT_FALSE(FileExists(sock));
+}
+
+TEST(ServiceServerTest, ServeJobsSetsTheExecutorsLanes) {
+  const std::string dir = TestDir("serve_jobs");
+  const std::string sock = dir + "/d.sock";
+  Subprocess daemon = Subprocess::Spawn(
+      {DCRM_BIN, "serve", "--socket=" + sock, "--jobs=2"},
+      dir + "/serve.out", dir + "/serve.err");
+  ASSERT_TRUE(WaitForDaemon(sock)) << "daemon never came up";
+
+  auto client = service::Client::Connect(sock);
+  const service::Response resp = client.Call(CampaignReq(16));
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_NE(resp.text.find(" jobs=2\n"), std::string::npos) << resp.text;
+  // Lanes never change results.
+  EXPECT_EQ(resp.csv, RunStandalone(BaseSpec(16)).csv);
+
+  daemon.Kill(SIGTERM);
+  EXPECT_TRUE(daemon.Wait().ok());
+}
+
+// `--jobs` and `--config` have no wire key: the daemon would never see
+// them, so `dcrm request` refuses them rather than dropping them.
+TEST(ServiceServerTest, RequestRefusesRowsOffTheWire) {
+  const std::string dir = TestDir("request_flags");
+  const auto request = [&](const std::string& flag) {
+    std::vector<std::string> argv = {DCRM_BIN, "request", "campaign",
+                                     "P-ATAX", "--scale=tiny",
+                                     "--socket=" + dir + "/none.sock"};
+    if (!flag.empty()) argv.push_back(flag);
+    return Subprocess::Spawn(argv, dir + "/out", dir + "/err").Wait();
+  };
+  EXPECT_EQ(request("--jobs=2").code, 2);
+  EXPECT_EQ(request("--config=" + dir + "/gpu.conf").code, 2);
+  // The same request without them gets as far as connecting.
+  EXPECT_EQ(request("").code, service::kExitConnectFailed);
 }
 
 // ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ TEST(EngineIdentity, WritableStorePropagation) {
   const auto profile = apps::ProfileApp(*app, sim::GpuConfig{});
   const std::vector<std::string> cover{"y1", "y2", "x1", "x2"};
   const auto setup = apps::MakeProtectionSetupForObjects(
-      *app, profile, sim::Scheme::kDetectCorrect, cover);
+      *app, sim::Scheme::kDetectCorrect, cover);
   ASSERT_TRUE(setup.plan.propagate_stores);
   const auto cyc = apps::RunTimingDetailed(
       *app, profile, WithEngine({}, sim::SimEngine::kCycleStepped),

@@ -133,9 +133,9 @@ TEST(WritableProtection, TimingChargesReplicaStores) {
   const std::vector<std::string> ro_cover{"y1", "y2"};
   const std::vector<std::string> rw_cover{"y1", "y2", "x1", "x2"};
   const auto ro = apps::MakeProtectionSetupForObjects(
-      *app, profile, sim::Scheme::kDetectCorrect, ro_cover);
+      *app, sim::Scheme::kDetectCorrect, ro_cover);
   const auto rw = apps::MakeProtectionSetupForObjects(
-      *app, profile, sim::Scheme::kDetectCorrect, rw_cover);
+      *app, sim::Scheme::kDetectCorrect, rw_cover);
   EXPECT_FALSE(ro.plan.propagate_stores);
   EXPECT_TRUE(rw.plan.propagate_stores);
   const auto ro_stats = apps::RunTiming(*app, profile, sim::GpuConfig{},

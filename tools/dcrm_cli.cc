@@ -41,7 +41,6 @@
 
 #include "apps/driver.h"
 #include "apps/registry.h"
-#include "core/profile_io.h"
 #include "core/recovery.h"
 #include "fault/campaign.h"
 #include "fault/request_fields.h"
@@ -91,7 +90,6 @@ struct CliArgs {
   fault::CoordinatorOptions shard;   // shard
   unsigned shard_timeout_s = 0;      // shard: 0 = no timeout
   std::string csv_path;              // the command's CSV artifact
-  std::string save_path;             // profile: profiler counters
   std::string save_trace_path;       // profile: binary trace store
   unsigned retries = 3;              // recover: sweep budgets 0..N
   std::string socket_path = "dcrm.sock";  // serve, request
@@ -117,7 +115,6 @@ constexpr std::int64_t kMaxWorkers = 256;
 // The flags only this front end reads.
 const fault::Field<A> kCliFields[] = {
     {"--csv", nullptr, Member<&A::csv_path>, 1, kMaxPathBytes},
-    {"--save", nullptr, Member<&A::save_path>, 1, kMaxPathBytes},
     {"--save-trace", nullptr, Member<&A::save_trace_path>, 1, kMaxPathBytes},
     {"--retries", nullptr, Member<&A::retries>, 0, kMaxSmallCount},
     {"--shards", nullptr, Shard<&C::shards>, 1, kMaxSmallCount},
@@ -147,19 +144,19 @@ int Usage() {
          "flags: --scale=tiny|small|medium --config=FILE --seed=N\n"
          "       --engine=cycle|event (replay engine; bit-identical "
          "results, event skips idle cycles)\n"
-         "       --save=FILE --save-trace=FILE (profile)\n"
+         "       --save-trace=FILE (profile)\n"
          "       --graph (profile: dump kernel-graph topology + per-edge "
          "reused bytes; with --csv writes the edge table)\n"
          "       --load-trace=FILE (profile, timing, campaign, analyze)\n"
          "       --scheme=none|detect|correct --cover=N (timing, campaign, "
-         "analyze)\n"
+         "analyze, avf)\n"
          "       --target=hot|rest|miss --blocks=N --bits=N --runs=N "
          "(campaign, recover)\n"
-         "       --jobs=N (campaign: parallel workers, 0 = hardware "
-         "threads; bit-identical results at any N)\n"
+         "       --jobs=N (campaign, serve: parallel workers, 0 = "
+         "hardware threads; bit-identical results at any N)\n"
          "       --retries=N (recover: sweep budgets 0..N)\n"
-         "       --objects=a,b,c (analyze, campaign: explicit cover, may "
-         "include writable objects)\n"
+         "       --objects=a,b,c (timing, analyze, avf, campaign: explicit "
+         "cover, may include writable objects)\n"
          "       --csv=FILE (timing: per-component stats; analyze: "
          "report; campaign, shard: merged counts+ledger)\n"
          "       --allow-unsound (campaign: run despite analyzer "
@@ -176,12 +173,23 @@ int Usage() {
          "       --socket=PATH (serve, request: Unix socket path)\n"
          "       --cache-mb=N (serve: artifact-cache byte budget)\n"
          "       dcrm request <type> <app> [flags]: type is profile|"
-         "timing|analyze|avf|campaign|stats|shutdown\n";
+         "timing|analyze|avf|campaign|stats|shutdown; --jobs and "
+         "--config are the daemon's own\n";
   return 2;
+}
+
+// True when `a` names a request row the wire does not carry (a null
+// key): `dcrm request` would drop it on the way to the daemon.
+bool OffTheWire(std::string_view a) {
+  const std::string_view name = a.substr(0, a.find('='));
+  return std::any_of(
+      fault::kRequestFields.begin(), fault::kRequestFields.end(),
+      [&](const auto& f) { return f.key == nullptr && name == f.flag; });
 }
 
 // One argument against every table; false = a usage error.
 bool ParseFlag(CliArgs& args, std::string_view a) {
+  if (args.command == "request" && OffTheWire(a)) return false;
   fault::ArgMatch m = fault::ParseArg<fault::RequestParams>(
       fault::kRequestFields, args.req, a);
   if (m == fault::ArgMatch::kNoRow) {
@@ -217,30 +225,18 @@ int CmdConfig(const CliArgs& args) {
   return 0;
 }
 
-// profile --save / --save-trace: the profile the request just used,
-// from the executor's cache.
-int SaveProfileArtifacts(const CliArgs& args, service::ExecContext& ctx) {
+// profile --save-trace: the trace the request just used, from the
+// executor's cache.
+int SaveTraceArtifact(const CliArgs& args, service::ExecContext& ctx) {
   const auto art = ctx.ResolveProfile(args.req);
-  const apps::ProfileResult& profile = art->profile;
-  if (!args.save_path.empty()) {
-    if (!WriteFile(args.save_path, [&](std::ostream& os) {
-          core::SaveProfile(profile.profiler, os);
-        })) {
-      return 1;
-    }
-    std::cout << "profile saved to " << args.save_path << '\n';
+  const trace::TraceStore& store = *art->profile.trace_store;
+  if (!WriteFile(args.save_trace_path,
+                 [&](std::ostream& os) { trace::SaveTrace(store, os); })) {
+    return 1;
   }
-  if (!args.save_trace_path.empty()) {
-    if (!WriteFile(args.save_trace_path, [&](std::ostream& os) {
-          trace::SaveTrace(*profile.trace_store, os);
-        })) {
-      return 1;
-    }
-    std::cout << "trace store saved to " << args.save_trace_path << " ("
-              << profile.trace_store->FootprintBytes() << " bytes in memory, "
-              << profile.trace_store->TotalTransactions()
-              << " transactions)\n";
-  }
+  std::cout << "trace store saved to " << args.save_trace_path << " ("
+            << store.FootprintBytes() << " bytes in memory, "
+            << store.TotalTransactions() << " transactions)\n";
   return 0;
 }
 
@@ -248,8 +244,8 @@ int SaveProfileArtifacts(const CliArgs& args, service::ExecContext& ctx) {
 // daemon's executor, in process.
 int CmdExecute(const CliArgs& args) {
   service::ExecOptions opts;
-  // One request per process: nothing is worth evicting, and --save
-  // reads the profile back from the cache.
+  // One request per process: nothing is worth evicting, and
+  // --save-trace reads the profile back from the cache.
   opts.cache_bytes = std::numeric_limits<std::uint64_t>::max();
   opts.gpu = args.req.campaign.gpu;
   opts.jobs = args.req.campaign.jobs;
@@ -274,8 +270,9 @@ int CmdExecute(const CliArgs& args) {
         break;
     }
   }
-  if (args.req.type == service::RequestType::kProfile && r.ok) {
-    if (const int rc = SaveProfileArtifacts(args, ctx); rc != 0) return rc;
+  if (args.req.type == service::RequestType::kProfile && r.ok &&
+      !args.save_trace_path.empty()) {
+    if (const int rc = SaveTraceArtifact(args, ctx); rc != 0) return rc;
   }
   return r.exit_code;
 }
@@ -329,6 +326,7 @@ int CmdServe(const CliArgs& args) {
   opts.socket_path = args.socket_path;
   opts.exec.cache_bytes = std::uint64_t{args.cache_mb} * 1024 * 1024;
   opts.exec.gpu = args.req.campaign.gpu;
+  opts.exec.jobs = args.req.campaign.jobs;
   service::Server server(opts);
   try {
     server.Start();
