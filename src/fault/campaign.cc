@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/analysis.h"
 #include "analysis/vulnerability.h"
@@ -272,6 +273,9 @@ Outcome FaultCampaign::RunOnce(const std::vector<mem::StuckAtFault>& faults) {
     const std::vector<std::byte>& snapshot = tables_->snapshot;
     std::memcpy(dev_->space().Data(), snapshot.data(), snapshot.size());
     if (recovery_) recovery_->RefreshRetiredFromSnapshot();
+    // Every copy equals its primary again: arm replica-read elision
+    // (a no-op while recovery is attached).
+    if (protected_plane_) protected_plane_->BeginRun();
     dev_->ResetEccCounters();
     try {
       apps::RunKernels(*app_, plane, nullptr);
@@ -337,7 +341,14 @@ TrialResult FaultCampaign::RunTrial(const CampaignConfig& cfg,
   const core::RecoveryStats before =
       recovery_ ? recovery_->stats() : core::RecoveryStats{};
   last_corrections_ = 0;
-  result.outcome = RunOnce(faults);
+  try {
+    result.outcome = RunOnce(faults);
+  } catch (const std::exception& e) {
+    // RunOnce maps every fault-reachable failure to an outcome; anything
+    // else is a defect, reported with the trial that reproduces it.
+    throw std::runtime_error("trial " + std::to_string(trial) + " (seed " +
+                             std::to_string(cfg.seed) + "): " + e.what());
+  }
   result.corrections = last_corrections_;
   if (recovery_) {
     result.recovery = core::StatsDelta(recovery_->stats(), before);

@@ -236,6 +236,8 @@ class FaultCampaign {
   // counter-based RNG stream (TrialSeed(cfg.seed, trial)) and executes
   // it against this campaign's device. Touches per-trial state only —
   // the campaign-lifetime ledger is updated by the engine, never here.
+  // An exception the run maps to no outcome is rethrown as
+  // std::runtime_error("trial <t> (seed <s>): <what>").
   TrialResult RunTrial(const CampaignConfig& cfg, std::uint64_t trial);
 
   // Runs once with the given pre-selected faults (exposed for tests).

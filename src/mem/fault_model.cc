@@ -17,12 +17,20 @@ void FaultMap::Add(const StuckAtFault& f) {
     bf.stuck0_mask |= m;
     bf.stuck1_mask &= static_cast<std::uint8_t>(~m);
   }
-  faulty_blocks_.insert(BlockOf(f.byte_addr));
+  const std::uint64_t block = BlockOf(f.byte_addr);
+  if (BlockHasFaults(block)) return;
+  const std::uint64_t word = block / 64;
+  if (word >= block_bits_.size()) block_bits_.resize(word + 1, 0);
+  block_bits_[word] |= std::uint64_t{1} << (block % 64);
+  faulty_blocks_.push_back(block);
 }
 
 void FaultMap::Clear() {
   faults_.clear();
   by_byte_.clear();
+  for (std::uint64_t block : faulty_blocks_) {
+    block_bits_[block / 64] &= ~(std::uint64_t{1} << (block % 64));
+  }
   faulty_blocks_.clear();
 }
 
@@ -42,7 +50,7 @@ void FaultMap::Apply(Addr a, std::uint8_t* bytes, std::uint64_t n) const {
   const std::uint64_t last_block = BlockOf(a + n - 1);
   bool any = false;
   for (std::uint64_t b = first_block; b <= last_block; ++b) {
-    if (faulty_blocks_.contains(b)) {
+    if (BlockHasFaults(b)) {
       any = true;
       break;
     }

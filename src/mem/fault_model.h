@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -43,16 +42,25 @@ class FaultMap {
   std::uint8_t ApplyByte(Addr a, std::uint8_t v) const;
 
   bool BlockHasFaults(std::uint64_t block) const {
-    return faulty_blocks_.contains(block);
+    const std::uint64_t word = block / 64;
+    return word < block_bits_.size() &&
+           ((block_bits_[word] >> (block % 64)) & 1) != 0;
   }
-  const std::unordered_set<std::uint64_t>& FaultyBlocks() const {
+  // The blocks holding at least one fault, in the order they were
+  // first hit.
+  const std::vector<std::uint64_t>& FaultyBlocks() const {
     return faulty_blocks_;
   }
 
  private:
   std::vector<StuckAtFault> faults_;
   std::unordered_map<Addr, ByteFault> by_byte_;
-  std::unordered_set<std::uint64_t> faulty_blocks_;
+  // Dense faulty-block bitmap, grown to the highest faulty block seen
+  // and kept across Clear() (which resets only the bits it set), so a
+  // campaign's per-trial refill allocates nothing and every read-path
+  // probe is one word test.
+  std::vector<std::uint64_t> block_bits_;
+  std::vector<std::uint64_t> faulty_blocks_;  // the set bits
 };
 
 // The paper's injection recipe for one memory block: pick a random

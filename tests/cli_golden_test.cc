@@ -78,6 +78,18 @@ std::vector<Command> CommandsFor(const std::string& name) {
             {"timing", "C-NN", t, "--scheme=detect",
              "--objects=no-such-object"}};
   }
+  if (name == "recover-objects") {
+    // The named set is what the sweep protects; without --objects it
+    // covers the whole coverage order.
+    return {{"recover", "P-GRAMSCHM", t, "--runs=8", "--retries=1",
+             "--scheme=correct", "--objects=A,Q,R"},
+            {"recover", "P-GRAMSCHM", t, "--runs=8", "--retries=1",
+             "--scheme=correct"}};
+  }
+  if (name == "recover-unknown-object") {
+    return {{"recover", "P-GRAMSCHM", t, "--runs=4", "--retries=0",
+             "--scheme=correct", "--objects=no-such-object"}};
+  }
   if (name == "recovery") {
     return {{"campaign", "P-ATAX", t, "--runs=48", "--scheme=detect",
              "--recovery=2", "--epoch=16", "--jobs=2", csv}};
@@ -184,6 +196,8 @@ INSTANTIATE_TEST_SUITE_P(Flags, CliGolden,
                          ::testing::Values("cross-check",
                                            "importance-sampling",
                                            "load-trace", "objects",
+                                           "recover-objects",
+                                           "recover-unknown-object",
                                            "recovery", "timing-objects"),
                          CaseName);
 

@@ -286,5 +286,112 @@ TEST(ProtectedPlane, UnprotectedAddressNotChecked) {
   EXPECT_NE(out, 7.0f);
 }
 
+
+// Armed planes (BeginRun): elision must leave every check that can
+// fire in place.
+
+TEST(ProtectedPlaneElision, ReplicaOnlyFaultStillDetected) {
+  mem::DeviceMemory dev;
+  const auto id = dev.space().Allocate("w", 64, true);
+  dev.Write<float>(0, 1.0f);
+  const auto infos =
+      ReplicateObjects(dev, std::vector<mem::ObjectId>{id}, 1);
+  auto plan = MakeProtectionPlan(dev.space(), infos, sim::Scheme::kDetectOnly);
+  // Bit 6 of byte 3 of the duplicate (float bit 30: 1.0f has it clear).
+  dev.faults().Add({.byte_addr = infos[0].replica_base[0] + 3,
+                    .bit = 6,
+                    .stuck_value = true});
+  ProtectedDataPlane plane(dev, plan);
+  plane.BeginRun();
+  float out = 0;
+  EXPECT_THROW(plane.Load(1, 0, &out, 4), DetectionTerminated);
+  EXPECT_EQ(plane.detections(), 1u);
+}
+
+TEST(ProtectedPlaneElision, ReplicaOnlyFaultStillOutVoted) {
+  mem::DeviceMemory dev;
+  const auto id = dev.space().Allocate("w", 64, true);
+  dev.Write<float>(0, -1.5f);
+  const auto infos =
+      ReplicateObjects(dev, std::vector<mem::ObjectId>{id}, 2);
+  auto plan =
+      MakeProtectionPlan(dev.space(), infos, sim::Scheme::kDetectCorrect);
+  // The same stuck bit in both replicas out-votes the primary, which
+  // shows the vote ran.
+  for (unsigned c = 0; c < 2; ++c) {
+    dev.faults().Add({.byte_addr = infos[0].replica_base[c],
+                      .bit = 0,
+                      .stuck_value = true});
+  }
+  ProtectedDataPlane plane(dev, plan);
+  plane.BeginRun();
+  float out = 0;
+  plane.Load(1, 0, &out, 4);
+  EXPECT_NE(out, -1.5f);
+  EXPECT_EQ(plane.corrections(), 1u);
+  // One faulty replica alone is out-voted by the other two copies.
+  dev.faults().Clear();
+  dev.faults().Add({.byte_addr = infos[0].replica_base[1],
+                    .bit = 0,
+                    .stuck_value = true});
+  plane.BeginRun();
+  plane.Load(1, 0, &out, 4);
+  EXPECT_FLOAT_EQ(out, -1.5f);
+  EXPECT_EQ(plane.corrections(), 1u);
+}
+
+TEST(ProtectedPlaneElision, UnpropagatedStoreStillDetected) {
+  mem::DeviceMemory dev;
+  const auto id = dev.space().Allocate("w", 64, true);
+  dev.Write<float>(8, 4.0f);
+  const auto infos =
+      ReplicateObjects(dev, std::vector<mem::ObjectId>{id}, 1);
+  auto plan = MakeProtectionPlan(dev.space(), infos, sim::Scheme::kDetectOnly);
+  ASSERT_FALSE(plan.propagate_stores);
+  ProtectedDataPlane plane(dev, plan);
+  plane.BeginRun();
+  const float v = 5.0f;
+  plane.Store(2, 8, &v, 4);  // the duplicate keeps 4.0f
+  float out = 0;
+  EXPECT_THROW(plane.Load(1, 8, &out, 4), DetectionTerminated);
+  EXPECT_EQ(plane.detections(), 1u);
+}
+
+TEST(ProtectedPlaneElision, StraddlingLoadChecksItsSecondBlock) {
+  mem::DeviceMemory dev;
+  const auto id = dev.space().Allocate("w", 2 * kBlockSize, true);
+  const auto infos =
+      ReplicateObjects(dev, std::vector<mem::ObjectId>{id}, 1);
+  auto plan = MakeProtectionPlan(dev.space(), infos, sim::Scheme::kDetectOnly);
+  // The only fault sits in the second block the load touches.
+  dev.faults().Add({.byte_addr = kBlockSize + 3, .bit = 1,
+                    .stuck_value = true});
+  ProtectedDataPlane plane(dev, plan);
+  plane.BeginRun();
+  std::uint8_t out[16];
+  EXPECT_THROW(plane.Load(1, kBlockSize - 8, out, 16), DetectionTerminated);
+  EXPECT_EQ(plane.detections(), 1u);
+}
+
+// The precondition at work: copies that differ without a fault or a
+// store through the plane (here written behind its back) are elided
+// when armed and caught on the full path.
+TEST(ProtectedPlaneElision, ArmedPlaneSkipsCleanBlocks) {
+  mem::DeviceMemory dev;
+  const auto id = dev.space().Allocate("w", kBlockSize, true);
+  dev.Write<float>(0, 1.0f);
+  const auto infos =
+      ReplicateObjects(dev, std::vector<mem::ObjectId>{id}, 1);
+  auto plan = MakeProtectionPlan(dev.space(), infos, sim::Scheme::kDetectOnly);
+  dev.Write<float>(infos[0].replica_base[0], 2.0f);
+  ProtectedDataPlane plane(dev, plan);
+  float out = 0;
+  EXPECT_THROW(plane.Load(1, 0, &out, 4), DetectionTerminated);
+  plane.BeginRun();
+  plane.Load(1, 0, &out, 4);
+  EXPECT_FLOAT_EQ(out, 1.0f);
+  EXPECT_EQ(plane.detections(), 1u);
+}
+
 }  // namespace
 }  // namespace dcrm::core

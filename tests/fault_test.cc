@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "apps/driver.h"
 #include "apps/registry.h"
 #include "fault/campaign.h"
@@ -207,6 +210,85 @@ TEST(FaultCampaignErrors, CoverBeyondOrderThrows) {
   auto profile = apps::ProfileApp(*app, Cfg());
   EXPECT_THROW(FaultCampaign(*app, profile, sim::Scheme::kDetectOnly, 99),
                std::invalid_argument);
+}
+
+// A kernel defect no outcome describes: the app's copy kernel throws
+// std::logic_error on one chosen launch.
+class ThrowingApp final : public apps::App {
+ public:
+  std::string Name() const override { return "throwing"; }
+  void Setup(mem::DeviceMemory& dev) override {
+    auto& sp = dev.space();
+    in_ = exec::ArrayRef<float>(
+        sp.Object(sp.Allocate("in", kN * 4, true)).base);
+    out_ = exec::ArrayRef<float>(
+        sp.Object(sp.Allocate("out", kN * 4, false)).base);
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      dev.Write<float>(in_.AddrOf(i), static_cast<float>(i));
+    }
+  }
+  std::vector<apps::KernelLaunch> Kernels() override {
+    exec::LaunchConfig cfg;
+    cfg.grid = {1, 1, 1};
+    cfg.block = {kN, 1, 1};
+    auto in = in_;
+    auto out = out_;
+    auto launches = launches_;
+    return {{"copy", cfg, [in, out, launches](exec::ThreadCtx& ctx) {
+               const std::uint64_t i = ctx.threadIdx().x;
+               if (i == 0 && launches != nullptr &&
+                   ++launches->count == launches->throw_at) {
+                 throw std::logic_error("kernel bug");
+               }
+               out.St(ctx, 2, i, in.Ld(ctx, 1, i));
+             }}};
+  }
+  std::vector<std::string> OutputObjects() const override { return {"out"}; }
+  double OutputError(std::span<const float> golden,
+                     std::span<const float> observed) const override {
+    double err = 0;
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+      err = std::max(err, std::abs(static_cast<double>(golden[i]) -
+                                   observed[i]));
+    }
+    return err;
+  }
+  double SdcThreshold() const override { return 0; }
+  std::string MetricName() const override { return "max-abs-diff"; }
+
+  // Throws on the `n`-th launch from now (1-based).
+  void ThrowOnLaunch(unsigned n) {
+    launches_ = std::make_shared<Launches>();
+    launches_->throw_at = n;
+  }
+
+ private:
+  static constexpr std::uint32_t kN = 64;
+  struct Launches {
+    unsigned count = 0;
+    unsigned throw_at = 0;
+  };
+  std::shared_ptr<Launches> launches_;
+  exec::ArrayRef<float> in_;
+  exec::ArrayRef<float> out_;
+};
+
+TEST(FaultCampaignErrors, UnmappedTrialExceptionNamesTrialAndSeed) {
+  ThrowingApp app;
+  const auto profile = apps::ProfileApp(app, Cfg());
+  FaultCampaign c(app, profile, sim::Scheme::kNone, 0);
+  CampaignConfig cfg;
+  cfg.runs = 5;
+  cfg.seed = 42;
+  app.ThrowOnLaunch(3);  // trial 2 of a serial campaign
+  try {
+    c.Run(cfg);
+    FAIL() << "the kernel's exception was swallowed";
+  } catch (const std::logic_error&) {
+    FAIL() << "the kernel's exception escaped bare";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trial 2 (seed 42): kernel bug");
+  }
 }
 
 }  // namespace

@@ -703,6 +703,29 @@ TEST(ServiceServerTest, RequestRefusesRowsOffTheWire) {
   EXPECT_EQ(request("").code, service::kExitConnectFailed);
 }
 
+// Nor does the wire carry the shard, worker or daemon flags of the
+// other tables: `dcrm request` takes the keyed request rows plus
+// --socket and --csv, and refuses the rest before it connects.
+TEST(ServiceServerTest, RequestRefusesFlagsOfOtherCommands) {
+  const std::string dir = TestDir("request_other_flags");
+  const auto request = [&](const std::vector<std::string>& flags) {
+    std::vector<std::string> argv = {DCRM_BIN, "request", "campaign",
+                                     "P-ATAX", "--scale=tiny",
+                                     "--socket=" + dir + "/none.sock"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    return Subprocess::Spawn(argv, dir + "/out", dir + "/err").Wait();
+  };
+  EXPECT_EQ(request({"--shards=3", "--workers=2"}).code, 2);
+  EXPECT_EQ(request({"--shards=3"}).code, 2);
+  EXPECT_EQ(request({"--workdir=" + dir + "/w"}).code, 2);
+  EXPECT_EQ(request({"--trial-begin=0"}).code, 2);
+  EXPECT_EQ(request({"--cache-mb=8"}).code, 2);
+  EXPECT_EQ(request({"--retries=1"}).code, 2);
+  // The flags it does take still get as far as connecting.
+  EXPECT_EQ(request({"--runs=10", "--csv=" + dir + "/out.csv"}).code,
+            service::kExitConnectFailed);
+}
+
 // ---------------------------------------------------------------------------
 // Protocol round trip
 

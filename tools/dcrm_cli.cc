@@ -155,8 +155,8 @@ int Usage() {
          "       --jobs=N (campaign, serve: parallel workers, 0 = "
          "hardware threads; bit-identical results at any N)\n"
          "       --retries=N (recover: sweep budgets 0..N)\n"
-         "       --objects=a,b,c (timing, analyze, avf, campaign: explicit "
-         "cover, may include writable objects)\n"
+         "       --objects=a,b,c (timing, analyze, avf, campaign, recover: "
+         "explicit cover, may include writable objects)\n"
          "       --csv=FILE (timing: per-component stats; analyze: "
          "report; campaign, shard: merged counts+ledger)\n"
          "       --allow-unsound (campaign: run despite analyzer "
@@ -173,23 +173,26 @@ int Usage() {
          "       --socket=PATH (serve, request: Unix socket path)\n"
          "       --cache-mb=N (serve: artifact-cache byte budget)\n"
          "       dcrm request <type> <app> [flags]: type is profile|"
-         "timing|analyze|avf|campaign|stats|shutdown; --jobs and "
-         "--config are the daemon's own\n";
+         "timing|analyze|avf|campaign|stats|shutdown; takes the flags "
+         "the wire carries plus --socket and --csv (--jobs and --config "
+         "are the daemon's own)\n";
   return 2;
 }
 
-// True when `a` names a request row the wire does not carry (a null
-// key): `dcrm request` would drop it on the way to the daemon.
-bool OffTheWire(std::string_view a) {
+// True when `dcrm request` can act on `a`: a request row the wire
+// carries (a non-null key), or the socket to reach and the CSV to
+// write. Every other flag would be dropped on the way to the daemon.
+bool RequestFlag(std::string_view a) {
   const std::string_view name = a.substr(0, a.find('='));
+  if (name == "--socket" || name == "--csv") return true;
   return std::any_of(
       fault::kRequestFields.begin(), fault::kRequestFields.end(),
-      [&](const auto& f) { return f.key == nullptr && name == f.flag; });
+      [&](const auto& f) { return f.key != nullptr && name == f.flag; });
 }
 
 // One argument against every table; false = a usage error.
 bool ParseFlag(CliArgs& args, std::string_view a) {
-  if (args.command == "request" && OffTheWire(a)) return false;
+  if (args.command == "request" && !RequestFlag(a)) return false;
   fault::ArgMatch m = fault::ParseArg<fault::RequestParams>(
       fault::kRequestFields, args.req, a);
   if (m == fault::ArgMatch::kNoRow) {
@@ -390,15 +393,21 @@ int CmdRecover(const CliArgs& args) {
   for (const auto& name : names) {
     auto app = apps::MakeApp(name, c.scale);
     const auto profile = apps::ProfileApp(*app, c.gpu);
-    const unsigned cover = c.cover.value_or(
-        static_cast<unsigned>(profile.hot.coverage_order.size()));
-    const auto setup = apps::MakeProtectionSetup(*app, profile, scheme, cover);
+    // Named objects win; otherwise the whole coverage order.
+    const apps::Cover cover = apps::ResolveCover(
+        profile, scheme,
+        c.cover.value_or(
+            static_cast<unsigned>(profile.hot.coverage_order.size())),
+        c.objects);
     const std::uint64_t run_cycles =
-        apps::RunTiming(*app, profile, c.gpu, setup.plan).cycles;
+        apps::RunTiming(*app, profile, c.gpu,
+                        apps::BuildProtection(*app, cover).plan)
+            .cycles;
     for (unsigned budget = 0; budget <= args.retries; ++budget) {
       // Fresh campaign per budget point: the repeat-offender memory
       // must not leak between sweep points.
-      fault::FaultCampaign campaign(*app, profile, scheme, cover);
+      fault::FaultCampaign campaign(*app, profile, cover, mem::EccMode::kNone,
+                                    c.allow_unsound);
       fault::CampaignConfig cc = fault::MakeCampaignConfig(c);
       cc.recovery.enabled = budget > 0;
       cc.recovery.max_retries = budget;
