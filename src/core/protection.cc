@@ -7,13 +7,6 @@
 
 namespace dcrm::core {
 
-namespace {
-
-// Widest load the LD/ST unit compares or votes (a 128-bit vector load).
-constexpr std::uint32_t kMaxProtectedLoad = 16;
-
-}  // namespace
-
 void ProtectedDataPlane::Load(Pc pc, Addr addr, void* out,
                               std::uint32_t size) {
   auto* bytes = static_cast<std::uint8_t*>(out);
@@ -22,7 +15,7 @@ void ProtectedDataPlane::Load(Pc pc, Addr addr, void* out,
   // has reached holds these same bytes, so the compare would match and
   // the vote would return them unchanged.
   const std::uint64_t block = BlockOf(addr);
-  if (armed_ && size <= kMaxProtectedLoad &&
+  if (armed_ && size <= exec::kMaxFastLoad &&
       block == BlockOf(addr + size - 1) && !MayDiffer(block)) {
     return;
   }
@@ -38,9 +31,9 @@ void ProtectedDataPlane::CheckCopies(Pc pc, Addr addr, std::uint8_t* bytes,
   const unsigned copies = plan_.CopiesFor(*range);
   if (copies == 0) return;
 
-  std::uint8_t copy0[kMaxProtectedLoad];
-  std::uint8_t copy1[kMaxProtectedLoad];
-  if (size > kMaxProtectedLoad) {
+  std::uint8_t copy0[exec::kMaxFastLoad];
+  std::uint8_t copy1[exec::kMaxFastLoad];
+  if (size > exec::kMaxFastLoad) {
     throw std::invalid_argument("protected load wider than 16 bytes");
   }
   dev_->ReadBytes(range->ReplicaAddr(0, addr), copy0, size);
@@ -106,7 +99,10 @@ void ProtectedDataPlane::BeginRun() {
   // logical blocks they are keyed by.
   armed_ = recovery_ == nullptr && plan_.scheme != sim::Scheme::kNone &&
            dev_->retired().Empty();
-  if (!armed_) return;
+  if (!armed_) {
+    view_ = {};
+    return;
+  }
   const std::uint64_t blocks =
       (dev_->space().StoreSize() + kBlockSize - 1) / kBlockSize;
   may_differ_.assign((blocks + 63) / 64, 0);
@@ -129,6 +125,9 @@ void ProtectedDataPlane::BeginRun() {
     MarkBlocks(lo, lo + kBlockSize);
     MarkCopiesOf(lo, lo + kBlockSize);
   }
+  // Stores mark the bitmap in place, so the view stays current all run.
+  view_ = {&dev_->space(), &may_differ_,
+           dev_->space().StoreSize() / kBlockSize};
 }
 
 void ProtectedDataPlane::MarkBlocks(Addr lo, Addr hi) {

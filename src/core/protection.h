@@ -17,7 +17,9 @@
 // touched reads the same bytes from every copy. After BeginRun() the
 // plane skips the replica reads, the compare and the vote for such
 // loads; the outcome and every counter stay exactly as on the full
-// path (DESIGN.md §6).
+// path (DESIGN.md §6). While armed it also publishes its "may differ"
+// bitmap as the plane's LoadView, so ThreadCtx::Ld reads such loads
+// straight from the store without calling Load at all.
 #pragma once
 
 #include <stdexcept>
@@ -64,17 +66,31 @@ class ProtectedDataPlane final : public exec::DataPlane {
 
   const sim::ProtectionPlan& plan() const { return plan_; }
   // Mutable access for the recovery subsystem's Tier-2 escalation
-  // (upgrading a repeat-offender range to a second replica).
-  sim::ProtectionPlan& mutable_plan() { return plan_; }
+  // (upgrading a repeat-offender range to a second replica). Disarms
+  // the plane until the next BeginRun: the bitmap describes the old
+  // plan.
+  sim::ProtectionPlan& mutable_plan() {
+    Disarm();
+    return plan_;
+  }
   std::uint64_t detections() const { return detections_; }
   std::uint64_t corrections() const { return corrections_; }
 
   // Wires the detect-to-recover pipeline in: mismatches are offered to
   // the manager for arbitration before terminating, and majority-vote
-  // corrections are reported for Tier-0 scrubbing.
-  void AttachRecovery(RecoveryManager* rm) { recovery_ = rm; }
+  // corrections are reported for Tier-0 scrubbing. Disarms the plane,
+  // which BeginRun then leaves unarmed.
+  void AttachRecovery(RecoveryManager* rm) {
+    recovery_ = rm;
+    Disarm();
+  }
 
  private:
+  // Every load takes the full path again; the view is withdrawn.
+  void Disarm() {
+    armed_ = false;
+    view_ = {};
+  }
   // The full path of Load: the compare or the vote over every copy of
   // a tracked load. Out of line, so an elided load pays for none of it.
   [[gnu::noinline]] void CheckCopies(Pc pc, Addr addr, std::uint8_t* bytes,
@@ -98,7 +114,8 @@ class ProtectedDataPlane final : public exec::DataPlane {
   sim::ProtectionPlan plan_;
   RecoveryManager* recovery_ = nullptr;
   // Elision state for the current run (see BeginRun): one "may differ"
-  // bit per 128B block of the store, and the span of replica space.
+  // bit per 128B block of the store (published as the view while
+  // armed), and the span of replica space.
   bool armed_ = false;
   std::vector<std::uint64_t> may_differ_;
   Addr replica_lo_ = 0;

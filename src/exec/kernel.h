@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include "common/types.h"
@@ -70,7 +71,7 @@ class ThreadCtx {
   template <typename T>
   T Ld(Pc pc, Addr addr) {
     T v;
-    plane_->Load(pc, addr, &v, sizeof(T));
+    if (!FastLoad(addr, &v)) plane_->Load(pc, addr, &v, sizeof(T));
     Record(pc, addr, sizeof(T), AccessType::kLoad);
     return v;
   }
@@ -82,6 +83,24 @@ class ThreadCtx {
   }
 
  private:
+  // Reads a load that lies in one clean block of the plane's published
+  // view straight from the backing store; false sends it to Load.
+  template <typename T>
+  bool FastLoad(Addr addr, T* out) const {
+    if constexpr (sizeof(T) > kMaxFastLoad) {
+      return false;
+    } else {
+      const LoadView& view = plane_->view();
+      const std::uint64_t block = BlockOf(addr);
+      if (block >= view.blocks || block != BlockOf(addr + sizeof(T) - 1) ||
+          (((*view.slow)[block / 64] >> (block % 64)) & 1) != 0) {
+        return false;
+      }
+      std::memcpy(out, view.space->Data() + addr, sizeof(T));
+      return true;
+    }
+  }
+
   void Record(Pc pc, Addr addr, std::uint8_t size, AccessType type) {
     if (sink_ != nullptr) sink_->OnAccess(coord_, {pc, addr, size, type});
   }

@@ -259,10 +259,6 @@ Outcome FaultCampaign::RunOnce(const std::vector<mem::StuckAtFault>& faults) {
   for (const auto& f : faults) dev_->faults().Add(f);
   if (recovery_) recovery_->BeginRun();
 
-  exec::DirectDataPlane direct(*dev_);
-  exec::DataPlane& plane =
-      protected_plane_ ? static_cast<exec::DataPlane&>(*protected_plane_)
-                       : direct;
   const std::uint64_t corrections_before =
       protected_plane_ ? protected_plane_->corrections() : 0;
   // With recovery enabled, each iteration is one bounded re-execution
@@ -276,6 +272,12 @@ Outcome FaultCampaign::RunOnce(const std::vector<mem::StuckAtFault>& faults) {
     // Every copy equals its primary again: arm replica-read elision
     // (a no-op while recovery is attached).
     if (protected_plane_) protected_plane_->BeginRun();
+    // Built per attempt: its view is valid only while the retirement
+    // table stays as it was built over.
+    exec::DirectDataPlane direct(*dev_);
+    exec::DataPlane& plane =
+        protected_plane_ ? static_cast<exec::DataPlane&>(*protected_plane_)
+                         : direct;
     dev_->ResetEccCounters();
     try {
       apps::RunKernels(*app_, plane, nullptr);

@@ -8,7 +8,15 @@ namespace dcrm::mem {
 void FaultMap::Add(const StuckAtFault& f) {
   if (f.bit > 7) throw std::invalid_argument("bit index out of range");
   faults_.push_back(f);
-  auto& bf = by_byte_[f.byte_addr];
+  const std::uint64_t block = BlockOf(f.byte_addr);
+  if (!BlockHasFaults(block)) {
+    const std::uint64_t word = block / 64;
+    if (word >= block_bits_.size()) block_bits_.resize(word + 1, 0);
+    block_bits_[word] |= std::uint64_t{1} << (block % 64);
+    faulty_blocks_.push_back(block);
+    masks_.emplace_back();
+  }
+  ByteFault& bf = masks_[SlotOf(block)][f.byte_addr % kBlockSize];
   const std::uint8_t m = static_cast<std::uint8_t>(1u << f.bit);
   if (f.stuck_value) {
     bf.stuck1_mask |= m;
@@ -17,47 +25,46 @@ void FaultMap::Add(const StuckAtFault& f) {
     bf.stuck0_mask |= m;
     bf.stuck1_mask &= static_cast<std::uint8_t>(~m);
   }
-  const std::uint64_t block = BlockOf(f.byte_addr);
-  if (BlockHasFaults(block)) return;
-  const std::uint64_t word = block / 64;
-  if (word >= block_bits_.size()) block_bits_.resize(word + 1, 0);
-  block_bits_[word] |= std::uint64_t{1} << (block % 64);
-  faulty_blocks_.push_back(block);
 }
 
 void FaultMap::Clear() {
   faults_.clear();
-  by_byte_.clear();
   for (std::uint64_t block : faulty_blocks_) {
     block_bits_[block / 64] &= ~(std::uint64_t{1} << (block % 64));
   }
   faulty_blocks_.clear();
+  masks_.clear();
 }
 
-std::uint8_t FaultMap::ApplyByte(Addr a, std::uint8_t v) const {
-  const auto it = by_byte_.find(a);
-  if (it == by_byte_.end()) return v;
-  const ByteFault& bf = it->second;
-  return static_cast<std::uint8_t>((v | bf.stuck1_mask) &
-                                   ~bf.stuck0_mask);
+const std::vector<std::uint64_t>& FaultMap::BlockBits(std::uint64_t blocks) {
+  const std::uint64_t words = (blocks + 63) / 64;
+  if (block_bits_.size() < words) block_bits_.resize(words, 0);
+  return block_bits_;
 }
 
-void FaultMap::Apply(Addr a, std::uint8_t* bytes, std::uint64_t n) const {
-  if (by_byte_.empty()) return;
-  // Fast path: skip scans for accesses entirely within fault-free
-  // blocks (the overwhelmingly common case in a campaign run).
-  const std::uint64_t first_block = BlockOf(a);
-  const std::uint64_t last_block = BlockOf(a + n - 1);
-  bool any = false;
-  for (std::uint64_t b = first_block; b <= last_block; ++b) {
-    if (BlockHasFaults(b)) {
-      any = true;
-      break;
+std::size_t FaultMap::SlotOf(std::uint64_t block) const {
+  return static_cast<std::size_t>(
+      std::find(faulty_blocks_.begin(), faulty_blocks_.end(), block) -
+      faulty_blocks_.begin());
+}
+
+void FaultMap::ApplyFaulty(Addr a, std::uint8_t* bytes,
+                           std::uint64_t n) const {
+  // One block at a time: a faulty block's masks are found once.
+  std::uint64_t i = 0;
+  while (i < n) {
+    const Addr cur = a + i;
+    const std::uint64_t take =
+        std::min<std::uint64_t>(n - i, kBlockSize - cur % kBlockSize);
+    if (BlockHasFaults(BlockOf(cur))) {
+      const BlockMasks& masks = masks_[SlotOf(BlockOf(cur))];
+      for (std::uint64_t k = 0; k < take; ++k) {
+        const ByteFault& bf = masks[(cur + k) % kBlockSize];
+        bytes[i + k] = static_cast<std::uint8_t>(
+            (bytes[i + k] | bf.stuck1_mask) & ~bf.stuck0_mask);
+      }
     }
-  }
-  if (!any) return;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    bytes[i] = ApplyByte(a + i, bytes[i]);
+    i += take;
   }
 }
 

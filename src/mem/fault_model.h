@@ -5,8 +5,8 @@
 // writes do not heal it.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -32,14 +32,29 @@ class FaultMap {
  public:
   void Add(const StuckAtFault& f);
   void Clear();
-  bool Empty() const { return by_byte_.empty(); }
+  bool Empty() const { return faulty_blocks_.empty(); }
   std::size_t NumFaults() const { return faults_.size(); }
   const std::vector<StuckAtFault>& Faults() const { return faults_; }
 
-  // Applies every stuck-at fault overlapping [a, a+n) to `bytes`.
-  void Apply(Addr a, std::uint8_t* bytes, std::uint64_t n) const;
+  // Applies every stuck-at fault overlapping [a, a+n) to `bytes`. The
+  // block test is inline: an access to fault-free blocks (nearly every
+  // access of a campaign run) pays one bitmap probe per block and no
+  // call.
+  void Apply(Addr a, std::uint8_t* bytes, std::uint64_t n) const {
+    if (n == 0 || faulty_blocks_.empty()) return;
+    const std::uint64_t last = BlockOf(a + n - 1);
+    for (std::uint64_t b = BlockOf(a); b <= last; ++b) {
+      if (BlockHasFaults(b)) {
+        ApplyFaulty(a, bytes, n);
+        return;
+      }
+    }
+  }
 
-  std::uint8_t ApplyByte(Addr a, std::uint8_t v) const;
+  std::uint8_t ApplyByte(Addr a, std::uint8_t v) const {
+    Apply(a, &v, 1);
+    return v;
+  }
 
   bool BlockHasFaults(std::uint64_t block) const {
     const std::uint64_t word = block / 64;
@@ -51,16 +66,26 @@ class FaultMap {
   const std::vector<std::uint64_t>& FaultyBlocks() const {
     return faulty_blocks_;
   }
+  // The faulty-block bitmap (one bit per 128B block), first grown to
+  // cover at least `blocks` blocks, so a reader may test any of them
+  // without a bounds check. It never shrinks.
+  const std::vector<std::uint64_t>& BlockBits(std::uint64_t blocks);
 
  private:
+  using BlockMasks = std::array<ByteFault, kBlockSize>;
+
+  void ApplyFaulty(Addr a, std::uint8_t* bytes, std::uint64_t n) const;
+  // The position of faulty `block` in faulty_blocks_ and masks_.
+  std::size_t SlotOf(std::uint64_t block) const;
+
   std::vector<StuckAtFault> faults_;
-  std::unordered_map<Addr, ByteFault> by_byte_;
   // Dense faulty-block bitmap, grown to the highest faulty block seen
   // and kept across Clear() (which resets only the bits it set), so a
   // campaign's per-trial refill allocates nothing and every read-path
   // probe is one word test.
   std::vector<std::uint64_t> block_bits_;
   std::vector<std::uint64_t> faulty_blocks_;  // the set bits
+  std::vector<BlockMasks> masks_;  // masks_[i]: faulty_blocks_[i]'s bytes
 };
 
 // The paper's injection recipe for one memory block: pick a random
