@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
 
   TextTable t({"config", "runs", "SDC", "detected", "masked",
                "norm exec time", "replica txns"});
-  const auto base_setup = apps::MakeProtectionSetupForObjects(
-      *app, sim::Scheme::kNone, {});
+  const auto base_setup = apps::BuildProtection(*app, apps::Cover{});
   const double base_cycles = static_cast<double>(
       apps::RunTiming(*app, profile, cfg, base_setup.plan).cycles);
 
@@ -75,8 +74,8 @@ int main(int argc, char** argv) {
       if (o == fault::Outcome::kDetected) ++counts.detected;
       if (o == fault::Outcome::kMasked) ++counts.masked;
     }
-    const auto setup = apps::MakeProtectionSetupForObjects(
-        *app, config.scheme, config.cover);
+    const auto setup = apps::BuildProtection(
+        *app, apps::Cover{config.scheme, config.cover, {}});
     const auto stats = apps::RunTiming(*app, profile, cfg, setup.plan);
     t.NewRow()
         .Add(config.label)

@@ -188,8 +188,8 @@ int main(int argc, char** argv) {
     const auto base_stats = apps::RunTiming(*app, profile, cfg, base.plan);
     const double base_cycles = static_cast<double>(base_stats.cycles);
 
-    const auto wprot = apps::MakeProtectionSetupForObjects(
-        *app, sim::Scheme::kDetectCorrect, weights);
+    const auto wprot = apps::BuildProtection(
+        *app, apps::Cover{sim::Scheme::kDetectCorrect, weights, {}});
     const double w_over =
         static_cast<double>(
             apps::RunTiming(*app, profile, cfg, wprot.plan).cycles) /

@@ -41,12 +41,12 @@ class StencilApp final : public apps::App {
     apps::FillConst(dev, out_.base(), cells, 0.0f);
   }
 
-  std::vector<apps::KernelLaunch> Kernels() override {
+  exec::KernelGraph Graph() override {
     const auto grid = grid_;
     const auto weights = weights_;
     const auto out = out_;
     const std::uint32_t n = n_;
-    apps::KernelLaunch k;
+    exec::GraphNode k;
     k.name = "stencil";
     k.cfg.grid = {(n + 15) / 16, (n + 15) / 16, 1};
     k.cfg.block = {16, 16, 1};
@@ -70,7 +70,7 @@ class StencilApp final : public apps::App {
       acc += weights.Ld(ctx, 1, 4) * grid.Ld(ctx, 2, at(yp, x));
       out.St(ctx, 3, at(y, x), acc);
     };
-    return {std::move(k)};
+    return apps::Chain({std::move(k)});
   }
 
   std::vector<std::string> OutputObjects() const override { return {"out"}; }

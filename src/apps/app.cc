@@ -4,23 +4,11 @@
 
 namespace dcrm::apps {
 
-exec::KernelGraph App::Graph() {
-  // Compatibility shim: the ordered kernel list becomes a single chain
-  // with ordering-only edges. Chain topological order is insertion
-  // order, so execution, traces and goldens are bit-identical to the
-  // pre-graph loop — and because the chain edges carry no object, the
-  // trace layer persists no graph metadata for shimmed apps (their
-  // serialized stores and fingerprints stay byte-identical too).
+exec::KernelGraph Chain(std::vector<exec::GraphNode> nodes) {
   exec::KernelGraph g;
-  std::uint32_t prev = 0;
-  for (auto& k : Kernels()) {
-    exec::GraphNode node;
-    node.name = std::move(k.name);
-    node.cfg = k.cfg;
-    node.body = std::move(k.body);
+  for (auto& node : nodes) {
     const std::uint32_t id = g.AddNode(std::move(node));
-    if (id > 0) g.AddEdge(prev, id);
-    prev = id;
+    if (id > 0) g.AddEdge(id - 1, id);
   }
   return g;
 }
@@ -28,17 +16,6 @@ exec::KernelGraph App::Graph() {
 void RunKernels(App& app, exec::DataPlane& plane, exec::AccessSink* sink) {
   exec::KernelGraph graph = app.Graph();
   exec::RunGraph(graph, plane, sink);
-}
-
-std::vector<KernelLaunch> GraphKernels(exec::KernelGraph graph) {
-  std::vector<KernelLaunch> out;
-  out.reserve(graph.NumNodes());
-  for (const std::uint32_t id : graph.TopoOrder()) {
-    exec::GraphNode& node = graph.Node(id);
-    out.push_back(KernelLaunch{std::move(node.name), node.cfg,
-                               std::move(node.body)});
-  }
-  return out;
 }
 
 std::vector<float> ReadOutputs(const App& app, const mem::DeviceMemory& dev) {

@@ -16,12 +16,6 @@
 
 namespace dcrm::apps {
 
-struct KernelLaunch {
-  std::string name;
-  exec::LaunchConfig cfg;
-  exec::KernelFn body;
-};
-
 class App {
  public:
   virtual ~App() = default;
@@ -29,22 +23,15 @@ class App {
   virtual std::string Name() const = 0;
 
   // Allocates and deterministically initializes every data object in
-  // `dev`, remembering the handles for Kernels(). Called once per
+  // `dev`, remembering the handles for Graph(). Called once per
   // device; campaign re-runs restore the store snapshot instead.
   virtual void Setup(mem::DeviceMemory& dev) = 0;
 
-  // Kernel launches in program order. Valid after Setup(). For
-  // graph-declared apps this is the deterministic topological
-  // linearization of Graph() (see GraphKernels).
-  virtual std::vector<KernelLaunch> Kernels() = 0;
-
-  // Kernel-graph declaration: nodes with object read/write sets,
-  // edges as data dependencies. The default is the compatibility shim
-  // — a single chain over Kernels() linked by ordering-only edges —
-  // which executes in exactly the legacy order, so list-style apps
-  // migrate without any trace/golden/fingerprint change. Multi-kernel
-  // DAG apps override this and derive Kernels() from it instead.
-  virtual exec::KernelGraph Graph();
+  // The app's kernels as a graph: nodes with object read/write sets,
+  // edges as dependencies. Valid after Setup(). Apps whose kernels run
+  // one after another return Chain(...); multi-kernel DAG apps declare
+  // data edges.
+  virtual exec::KernelGraph Graph() = 0;
 
   // Names of the output data objects, in comparison order.
   virtual std::vector<std::string> OutputObjects() const = 0;
@@ -68,9 +55,11 @@ class App {
 // propagate to the caller.
 void RunKernels(App& app, exec::DataPlane& plane, exec::AccessSink* sink);
 
-// Flattens a kernel graph into the legacy launch-list form, in
-// TopoOrder() — how graph-declared apps implement Kernels().
-std::vector<KernelLaunch> GraphKernels(exec::KernelGraph graph);
+// Adds `nodes` in order and links each to the next by an
+// ordering-only edge (empty object). TopoOrder() is then the given
+// order, and since no edge carries an object the trace layer persists
+// no graph metadata: a chain app's serialized traces are version 1.
+exec::KernelGraph Chain(std::vector<exec::GraphNode> nodes);
 
 // Reads the app's output objects (through the faulty read path) into
 // one float vector.

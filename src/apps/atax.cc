@@ -30,7 +30,7 @@ void AtaxApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, y_.base(), n_, 0.0f);
 }
 
-std::vector<KernelLaunch> AtaxApp::Kernels() {
+exec::KernelGraph AtaxApp::Graph() {
   const std::uint32_t m = m_;
   const std::uint32_t n = n_;
   const auto a = a_;
@@ -38,7 +38,7 @@ std::vector<KernelLaunch> AtaxApp::Kernels() {
   const auto tmp = tmp_;
   const auto y = y_;
 
-  KernelLaunch k1;
+  exec::GraphNode k1;
   k1.name = "atax_kernel1";
   k1.cfg.grid = {(m + kCta - 1) / kCta, 1, 1};
   k1.cfg.block = {kCta, 1, 1};
@@ -53,7 +53,7 @@ std::vector<KernelLaunch> AtaxApp::Kernels() {
     tmp.St(ctx, kStTmp, i, acc);
   };
 
-  KernelLaunch k2;
+  exec::GraphNode k2;
   k2.name = "atax_kernel2";
   k2.cfg.grid = {(n + kCta - 1) / kCta, 1, 1};
   k2.cfg.block = {kCta, 1, 1};
@@ -69,7 +69,7 @@ std::vector<KernelLaunch> AtaxApp::Kernels() {
     y.St(ctx, kStY, j, acc);
   };
 
-  return {std::move(k1), std::move(k2)};
+  return Chain({std::move(k1), std::move(k2)});
 }
 
 double AtaxApp::OutputError(std::span<const float> golden,

@@ -18,7 +18,7 @@ class AtaxApp final : public App {
 
   std::string Name() const override { return "P-ATAX"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override { return {"y"}; }
   double OutputError(std::span<const float> golden,
                      std::span<const float> observed) const override;

@@ -32,7 +32,7 @@ void BicgApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, q_.base(), nx_, 0.0f);
 }
 
-std::vector<KernelLaunch> BicgApp::Kernels() {
+exec::KernelGraph BicgApp::Graph() {
   const std::uint32_t nx = nx_;
   const std::uint32_t ny = ny_;
   const auto a = a_;
@@ -41,7 +41,7 @@ std::vector<KernelLaunch> BicgApp::Kernels() {
   const auto s = s_;
   const auto q = q_;
 
-  KernelLaunch k1;
+  exec::GraphNode k1;
   k1.name = "bicg_kernel1";
   k1.cfg.grid = {(ny + kCta - 1) / kCta, 1, 1};
   k1.cfg.block = {kCta, 1, 1};
@@ -56,7 +56,7 @@ std::vector<KernelLaunch> BicgApp::Kernels() {
     s.St(ctx, kStS, j, acc);
   };
 
-  KernelLaunch k2;
+  exec::GraphNode k2;
   k2.name = "bicg_kernel2";
   k2.cfg.grid = {(nx + kCta - 1) / kCta, 1, 1};
   k2.cfg.block = {kCta, 1, 1};
@@ -71,7 +71,7 @@ std::vector<KernelLaunch> BicgApp::Kernels() {
     q.St(ctx, kStQ, i, acc);
   };
 
-  return {std::move(k1), std::move(k2)};
+  return Chain({std::move(k1), std::move(k2)});
 }
 
 double BicgApp::OutputError(std::span<const float> golden,

@@ -15,7 +15,7 @@ class BicgApp final : public App {
 
   std::string Name() const override { return "P-BICG"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"s", "q"};
   }

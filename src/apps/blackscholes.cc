@@ -48,7 +48,7 @@ void BlackScholesApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, put_.base(), n_, 0.0f);
 }
 
-std::vector<KernelLaunch> BlackScholesApp::Kernels() {
+exec::KernelGraph BlackScholesApp::Graph() {
   const auto price = price_;
   const auto strike = strike_;
   const auto years = years_;
@@ -56,7 +56,7 @@ std::vector<KernelLaunch> BlackScholesApp::Kernels() {
   const auto put = put_;
   const std::uint32_t n = n_;
 
-  KernelLaunch k;
+  exec::GraphNode k;
   k.name = "BlackScholesGPU";
   k.cfg.grid = {(n + kCta - 1) / kCta, 1, 1};
   k.cfg.block = {kCta, 1, 1};
@@ -79,7 +79,7 @@ std::vector<KernelLaunch> BlackScholesApp::Kernels() {
     put.St(ctx, kStPut, i,
            x * exp_rt * (1.0f - cnd_d2) - s * (1.0f - cnd_d1));
   };
-  return {std::move(k)};
+  return Chain({std::move(k)});
 }
 
 double BlackScholesApp::OutputError(std::span<const float> golden,

@@ -15,7 +15,7 @@ class BlackScholesApp final : public App {
 
   std::string Name() const override { return "C-BlackScholes"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"CallResult", "PutResult"};
   }

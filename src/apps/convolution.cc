@@ -37,7 +37,7 @@ void ConvolutionRowsApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, output_.base(), pixels, 0.0f);
 }
 
-std::vector<KernelLaunch> ConvolutionRowsApp::Kernels() {
+exec::KernelGraph ConvolutionRowsApp::Graph() {
   const auto input = input_;
   const auto kernel = kernel_;
   const auto output = output_;
@@ -45,7 +45,7 @@ std::vector<KernelLaunch> ConvolutionRowsApp::Kernels() {
   const std::uint32_t height = height_;
   const std::int64_t radius = radius_;
 
-  KernelLaunch k;
+  exec::GraphNode k;
   k.name = "convolutionRowsKernel";
   k.cfg.grid = {(width + kTile - 1) / kTile, (height + kTile - 1) / kTile, 1};
   k.cfg.block = {kTile, kTile, 1};
@@ -67,7 +67,7 @@ std::vector<KernelLaunch> ConvolutionRowsApp::Kernels() {
     }
     output.St(ctx, kStOut, std::uint64_t{y} * width + x, acc);
   };
-  return {std::move(k)};
+  return Chain({std::move(k)});
 }
 
 double ConvolutionRowsApp::OutputError(std::span<const float> golden,

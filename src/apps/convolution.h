@@ -18,7 +18,7 @@ class ConvolutionRowsApp final : public App {
 
   std::string Name() const override { return "C-ConvRows"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"Output"};
   }

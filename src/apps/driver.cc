@@ -94,12 +94,6 @@ ProtectionSetup MakeProtectionSetup(App& app, const ProfileResult& profile,
                          lazy_compare, placement);
 }
 
-ProtectionSetup MakeProtectionSetupForObjects(
-    App& app, sim::Scheme scheme, std::span<const std::string> object_names) {
-  return BuildProtection(
-      app, Cover{scheme, {object_names.begin(), object_names.end()}, {}});
-}
-
 sim::GpuStats RunTiming(const App& app, const ProfileResult& profile,
                         sim::GpuConfig cfg, const sim::ProtectionPlan& plan) {
   cfg.alu_cycles_per_mem = app.AluCyclesPerMem();
@@ -128,8 +122,8 @@ ProfileResult ProfileApp(App& app, const sim::GpuConfig& cfg,
   out.profiler.AttachSpace(&out.dev->space());
   exec::DirectDataPlane plane(*out.dev);
   // Walk the app's kernel graph in its deterministic topological order
-  // (identical to the legacy list order for chain-shimmed apps), so
-  // traces carry graph node ids and the store records data edges.
+  // (program order for chain apps), so traces carry graph node ids and
+  // the store records data edges.
   exec::KernelGraph graph = app.Graph();
   const std::vector<std::uint32_t> order = graph.TopoOrder();
   std::vector<std::uint32_t> kernel_of(graph.NumNodes(), 0);

@@ -88,11 +88,6 @@ ProtectionSetup MakeProtectionSetup(
     unsigned cover_objects, bool lazy_compare = true,
     core::ReplicaPlacement placement = core::ReplicaPlacement::kDefault);
 
-// Extension: protect an explicit set of objects by name, including
-// writable ones.
-ProtectionSetup MakeProtectionSetupForObjects(
-    App& app, sim::Scheme scheme, std::span<const std::string> object_names);
-
 // Replays the profiled traces through the cycle-level simulator under
 // `plan`, with the app's arithmetic intensity.
 sim::GpuStats RunTiming(const App& app, const ProfileResult& profile,

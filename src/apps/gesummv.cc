@@ -24,14 +24,14 @@ void GesummvApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, y_.base(), n_, 0.0f);
 }
 
-std::vector<KernelLaunch> GesummvApp::Kernels() {
+exec::KernelGraph GesummvApp::Graph() {
   const std::uint32_t n = n_;
   const auto a = a_;
   const auto b = b_;
   const auto x = x_;
   const auto y = y_;
 
-  KernelLaunch k;
+  exec::GraphNode k;
   k.name = "gesummv_kernel";
   k.cfg.grid = {(n + kCta - 1) / kCta, 1, 1};
   k.cfg.block = {kCta, 1, 1};
@@ -47,7 +47,7 @@ std::vector<KernelLaunch> GesummvApp::Kernels() {
     }
     y.St(ctx, kStY, i, kAlpha * tmp + kBeta * acc);
   };
-  return {std::move(k)};
+  return Chain({std::move(k)});
 }
 
 double GesummvApp::OutputError(std::span<const float> golden,

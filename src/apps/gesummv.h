@@ -13,7 +13,7 @@ class GesummvApp final : public App {
 
   std::string Name() const override { return "P-GESUMMV"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override { return {"y"}; }
   double OutputError(std::span<const float> golden,
                      std::span<const float> observed) const override;

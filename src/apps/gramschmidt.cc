@@ -37,8 +37,8 @@ void GramSchmidtApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, r_.base(), std::uint64_t{k_} * k_, 0.0f);
 }
 
-std::vector<KernelLaunch> GramSchmidtApp::Kernels() {
-  std::vector<KernelLaunch> out;
+exec::KernelGraph GramSchmidtApp::Graph() {
+  std::vector<exec::GraphNode> out;
   const auto a = a_;
   const auto q = q_;
   const auto r = r_;
@@ -48,7 +48,7 @@ std::vector<KernelLaunch> GramSchmidtApp::Kernels() {
   for (std::uint32_t c = 0; c < k; ++c) {
     // Kernel 1: column norm (single thread, as in the Polybench GPU
     // port).
-    KernelLaunch k1;
+    exec::GraphNode k1;
     k1.name = "gramschmidt_kernel1";
     k1.cfg.grid = {1, 1, 1};
     k1.cfg.block = {1, 1, 1};
@@ -63,7 +63,7 @@ std::vector<KernelLaunch> GramSchmidtApp::Kernels() {
     out.push_back(std::move(k1));
 
     // Kernel 2: normalize column c into Q.
-    KernelLaunch k2;
+    exec::GraphNode k2;
     k2.name = "gramschmidt_kernel2";
     k2.cfg.grid = {(n + kCta - 1) / kCta, 1, 1};
     k2.cfg.block = {kCta, 1, 1};
@@ -79,7 +79,7 @@ std::vector<KernelLaunch> GramSchmidtApp::Kernels() {
 
     // Kernel 3: project the remaining columns (one thread per column).
     if (c + 1 < k) {
-      KernelLaunch k3;
+      exec::GraphNode k3;
       k3.name = "gramschmidt_kernel3";
       const std::uint32_t rem = k - c - 1;
       k3.cfg.grid = {(rem + kCta - 1) / kCta, 1, 1};
@@ -105,7 +105,7 @@ std::vector<KernelLaunch> GramSchmidtApp::Kernels() {
       out.push_back(std::move(k3));
     }
   }
-  return out;
+  return Chain(std::move(out));
 }
 
 double GramSchmidtApp::OutputError(std::span<const float> golden,

@@ -17,7 +17,7 @@ class GramSchmidtApp final : public App {
 
   std::string Name() const override { return "P-GRAMSCHM"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"Q", "R"};
   }

@@ -36,7 +36,7 @@ void HistogramApp::Setup(mem::DeviceMemory& dev) {
   }
 }
 
-std::vector<KernelLaunch> HistogramApp::Kernels() {
+exec::KernelGraph HistogramApp::Graph() {
   const auto data = data_;
   const auto partial = partial_;
   const auto bins_arr = bins_arr_;
@@ -48,7 +48,7 @@ std::vector<KernelLaunch> HistogramApp::Kernels() {
   // (read-modify-write per element; sequential functional execution
   // makes the CTA-shared updates deterministic, standing in for the
   // SDK's atomics).
-  KernelLaunch k1;
+  exec::GraphNode k1;
   k1.name = "histogramPartials";
   k1.cfg.grid = {(threads + kCta - 1) / kCta, 1, 1};
   k1.cfg.block = {kCta, 1, 1};
@@ -72,7 +72,7 @@ std::vector<KernelLaunch> HistogramApp::Kernels() {
   const std::uint32_t ctas = (threads + kCta - 1) / kCta;
 
   // Kernel 2: reduce the partials, one thread per bin.
-  KernelLaunch k2;
+  exec::GraphNode k2;
   k2.name = "histogramReduce";
   k2.cfg.grid = {(bins + kCta - 1) / kCta, 1, 1};
   k2.cfg.block = {kCta, 1, 1};
@@ -87,7 +87,7 @@ std::vector<KernelLaunch> HistogramApp::Kernels() {
     bins_arr.St(ctx, kStBin, bin, acc);
   };
 
-  return {std::move(k1), std::move(k2)};
+  return Chain({std::move(k1), std::move(k2)});
 }
 
 double HistogramApp::OutputError(std::span<const float> golden,

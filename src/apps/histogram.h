@@ -24,7 +24,7 @@ class HistogramApp final : public App {
 
   std::string Name() const override { return "C-Histogram"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override { return {"Bins"}; }
   double OutputError(std::span<const float> golden,
                      std::span<const float> observed) const override;

@@ -47,7 +47,7 @@ void ImageFilterApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, out_.base(), pixels, 0.0f);
 }
 
-std::vector<KernelLaunch> ImageFilterApp::Kernels() {
+exec::KernelGraph ImageFilterApp::Graph() {
   const auto image = image_;
   const auto filter = filter_;
   const auto out = out_;
@@ -56,7 +56,7 @@ std::vector<KernelLaunch> ImageFilterApp::Kernels() {
   const std::uint32_t width = width_;
   const std::uint32_t height = height_;
 
-  KernelLaunch k;
+  exec::GraphNode k;
   k.name = "filter_kernel";
   k.cfg.grid = {(width + kTile - 1) / kTile, (height + kTile - 1) / kTile, 1};
   k.cfg.block = {kTile, kTile, 1};
@@ -76,7 +76,7 @@ std::vector<KernelLaunch> ImageFilterApp::Kernels() {
     out.St(ctx, kStOut, std::uint64_t{y} * width + x,
            std::clamp(v, 0.0f, 255.0f));
   };
-  return {std::move(k)};
+  return Chain({std::move(k)});
 }
 
 double ImageFilterApp::OutputError(std::span<const float> golden,

@@ -21,7 +21,7 @@ class ImageFilterApp : public App {
       : width_(width), height_(height) {}
 
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"OutImage"};
   }

@@ -24,9 +24,6 @@ class Mlp2App final : public App {
   std::string Name() const override { return "L-MLP2"; }
   void Setup(mem::DeviceMemory& dev) override;
   exec::KernelGraph Graph() override;
-  std::vector<KernelLaunch> Kernels() override {
-    return GraphKernels(Graph());
-  }
   std::vector<std::string> OutputObjects() const override { return {"Y"}; }
   double OutputError(std::span<const float> golden,
                      std::span<const float> observed) const override;

@@ -33,7 +33,7 @@ void MvtApp::Setup(mem::DeviceMemory& dev) {
   FillUniform(dev, x2_.base(), n_, -1.0f, 1.0f, 35);
 }
 
-std::vector<KernelLaunch> MvtApp::Kernels() {
+exec::KernelGraph MvtApp::Graph() {
   const std::uint32_t n = n_;
   const auto a = a_;
   const auto y1 = y1_;
@@ -41,7 +41,7 @@ std::vector<KernelLaunch> MvtApp::Kernels() {
   const auto x1 = x1_;
   const auto x2 = x2_;
 
-  KernelLaunch k1;
+  exec::GraphNode k1;
   k1.name = "mvt_kernel1";
   k1.cfg.grid = {(n + kCta - 1) / kCta, 1, 1};
   k1.cfg.block = {kCta, 1, 1};
@@ -56,7 +56,7 @@ std::vector<KernelLaunch> MvtApp::Kernels() {
     x1.St(ctx, kStX1, i, acc);
   };
 
-  KernelLaunch k2;
+  exec::GraphNode k2;
   k2.name = "mvt_kernel2";
   k2.cfg.grid = {(n + kCta - 1) / kCta, 1, 1};
   k2.cfg.block = {kCta, 1, 1};
@@ -71,7 +71,7 @@ std::vector<KernelLaunch> MvtApp::Kernels() {
     x2.St(ctx, kStX2, i, acc);
   };
 
-  return {std::move(k1), std::move(k2)};
+  return Chain({std::move(k1), std::move(k2)});
 }
 
 double MvtApp::OutputError(std::span<const float> golden,

@@ -13,7 +13,7 @@ class MvtApp final : public App {
 
   std::string Name() const override { return "P-MVT"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"x1", "x2"};
   }

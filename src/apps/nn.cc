@@ -87,7 +87,7 @@ void NnApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, scores_.base(), std::uint64_t{ni_} * classes_, 0.0f);
 }
 
-std::vector<KernelLaunch> NnApp::Kernels() {
+exec::KernelGraph NnApp::Graph() {
   const auto images = images_;
   const auto w1 = w1_;
   const auto w2 = w2_;
@@ -102,7 +102,7 @@ std::vector<KernelLaunch> NnApp::Kernels() {
   const std::uint32_t classes = classes_;
 
   // First layer (Listing 2): grid (map, image), block 13x13.
-  KernelLaunch k1;
+  exec::GraphNode k1;
   k1.name = "FirstLayer";
   k1.cfg.grid = {kMaps1, ni_, 1};
   k1.cfg.block = {kL1Out, kL1Out, 1};
@@ -129,7 +129,7 @@ std::vector<KernelLaunch> NnApp::Kernels() {
   };
 
   // Second layer: grid (map2, image), block 5x5.
-  KernelLaunch k2;
+  exec::GraphNode k2;
   k2.name = "SecondLayer";
   k2.cfg.grid = {maps2, ni_, 1};
   k2.cfg.block = {kL2Out, kL2Out, 1};
@@ -158,7 +158,7 @@ std::vector<KernelLaunch> NnApp::Kernels() {
 
   // Third layer (fully connected): grid (image), block (fc).
   const std::uint32_t l3_in = maps2 * kL2Out * kL2Out;
-  KernelLaunch k3;
+  exec::GraphNode k3;
   k3.name = "ThirdLayer";
   k3.cfg.grid = {ni_, 1, 1};
   k3.cfg.block = {fc, 1, 1};
@@ -175,7 +175,7 @@ std::vector<KernelLaunch> NnApp::Kernels() {
   };
 
   // Fourth layer (classifier): grid (image), block (classes).
-  KernelLaunch k4;
+  exec::GraphNode k4;
   k4.name = "FourthLayer";
   k4.cfg.grid = {ni_, 1, 1};
   k4.cfg.block = {classes, 1, 1};
@@ -191,7 +191,8 @@ std::vector<KernelLaunch> NnApp::Kernels() {
     scores.St(ctx, kStScore, std::uint64_t{classes} * img + c, acc);
   };
 
-  return {std::move(k1), std::move(k2), std::move(k3), std::move(k4)};
+  return Chain(
+      {std::move(k1), std::move(k2), std::move(k3), std::move(k4)});
 }
 
 double NnApp::OutputError(std::span<const float> golden,

@@ -28,7 +28,7 @@ class NnApp final : public App {
 
   std::string Name() const override { return "C-NN"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"Out_Scores"};
   }

@@ -67,7 +67,7 @@ void SradApp::Setup(mem::DeviceMemory& dev) {
   FillConst(dev, jout_.base(), pixels, 0.0f);
 }
 
-std::vector<KernelLaunch> SradApp::Kernels() {
+exec::KernelGraph SradApp::Graph() {
   const auto j = j_;
   const auto c = c_;
   const auto jout = jout_;
@@ -79,7 +79,7 @@ std::vector<KernelLaunch> SradApp::Kernels() {
   const std::uint32_t cols = cols_;
 
   // srad_kernel1: diffusion coefficient from local gradients.
-  KernelLaunch k1;
+  exec::GraphNode k1;
   k1.name = "srad_kernel1";
   k1.cfg.grid = {(cols + kTile - 1) / kTile, (rows + kTile - 1) / kTile, 1};
   k1.cfg.block = {kTile, kTile, 1};
@@ -119,7 +119,7 @@ std::vector<KernelLaunch> SradApp::Kernels() {
   };
 
   // srad_kernel2: divergence update using south/east neighbor coefs.
-  KernelLaunch k2;
+  exec::GraphNode k2;
   k2.name = "srad_kernel2";
   k2.cfg.grid = {(cols + kTile - 1) / kTile, (rows + kTile - 1) / kTile, 1};
   k2.cfg.block = {kTile, kTile, 1};
@@ -153,7 +153,7 @@ std::vector<KernelLaunch> SradApp::Kernels() {
     jout.St(ctx, kStJ, idx, jc + 0.25f * kLambda * div);
   };
 
-  return {std::move(k1), std::move(k2)};
+  return Chain({std::move(k1), std::move(k2)});
 }
 
 double SradApp::OutputError(std::span<const float> golden,

@@ -21,7 +21,7 @@ class SradApp final : public App {
 
   std::string Name() const override { return "A-SRAD"; }
   void Setup(mem::DeviceMemory& dev) override;
-  std::vector<KernelLaunch> Kernels() override;
+  exec::KernelGraph Graph() override;
   std::vector<std::string> OutputObjects() const override {
     return {"J_out"};
   }

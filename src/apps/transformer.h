@@ -29,9 +29,6 @@ class TransformerApp final : public App {
   std::string Name() const override { return "L-Transformer"; }
   void Setup(mem::DeviceMemory& dev) override;
   exec::KernelGraph Graph() override;
-  std::vector<KernelLaunch> Kernels() override {
-    return GraphKernels(Graph());
-  }
   std::vector<std::string> OutputObjects() const override { return {"Y"}; }
   double OutputError(std::span<const float> golden,
                      std::span<const float> observed) const override;

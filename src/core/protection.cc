@@ -11,19 +11,6 @@ void ProtectedDataPlane::Load(Pc pc, Addr addr, void* out,
                               std::uint32_t size) {
   auto* bytes = static_cast<std::uint8_t*>(out);
   dev_->ReadBytes(addr, bytes, size);
-  // Elided: every copy of a block no fault and no unpropagated store
-  // has reached holds these same bytes, so the compare would match and
-  // the vote would return them unchanged.
-  const std::uint64_t block = BlockOf(addr);
-  if (armed_ && size <= exec::kMaxFastLoad &&
-      block == BlockOf(addr + size - 1) && !MayDiffer(block)) {
-    return;
-  }
-  CheckCopies(pc, addr, bytes, size);
-}
-
-void ProtectedDataPlane::CheckCopies(Pc pc, Addr addr, std::uint8_t* bytes,
-                                     std::uint32_t size) {
   const sim::ProtectedRange* range =
       plan_.PcTracked(pc) ? plan_.Lookup(addr) : nullptr;
   if (range == nullptr) return;
@@ -90,17 +77,16 @@ void ProtectedDataPlane::Store(Pc pc, Addr addr, const void* in,
       dev_->WriteBytes(range->ReplicaAddr(c, addr), in, size);
     }
   }
-  if (armed_) NoteStore(addr, size, range);
+  if (view_.blocks != 0) NoteStore(addr, size, range);
 }
 
 void ProtectedDataPlane::BeginRun() {
+  view_ = {};
   // Recovery scrubs, retires and escalates copies mid-run, which this
   // bitmap does not track; retirement also moves faults off the
   // logical blocks they are keyed by.
-  armed_ = recovery_ == nullptr && plan_.scheme != sim::Scheme::kNone &&
-           dev_->retired().Empty();
-  if (!armed_) {
-    view_ = {};
+  if (recovery_ != nullptr || plan_.scheme == sim::Scheme::kNone ||
+      !dev_->retired().Empty()) {
     return;
   }
   const std::uint64_t blocks =

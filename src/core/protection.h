@@ -14,12 +14,12 @@
 // Replica-read elision: faults are permanent and every copy starts a
 // run equal to its primary, so a load from a block that holds no
 // fault, whose copies hold no fault and that no unpropagated store has
-// touched reads the same bytes from every copy. After BeginRun() the
-// plane skips the replica reads, the compare and the vote for such
-// loads; the outcome and every counter stay exactly as on the full
-// path (DESIGN.md §6). While armed it also publishes its "may differ"
-// bitmap as the plane's LoadView, so ThreadCtx::Ld reads such loads
-// straight from the store without calling Load at all.
+// touched reads the same bytes from every copy. BeginRun() arms the
+// plane by publishing its "may differ" bitmap as the plane's LoadView;
+// ThreadCtx::Ld then reads loads from clean blocks straight from the
+// store, skipping the replica reads, the compare and the vote, and the
+// outcome and every counter stay exactly as on the full path (DESIGN.md
+// §6). Load itself always takes the full path.
 #pragma once
 
 #include <stdexcept>
@@ -59,18 +59,18 @@ class ProtectedDataPlane final : public exec::DataPlane {
   // every copy equals its primary. Marks each block whose copies may
   // differ: a faulty block, a block whose replica bytes overlap a
   // faulty block, and the head and tail block of a range that is not
-  // block-aligned. Stays unarmed (every load takes the full path) when
-  // a RecoveryManager is attached, blocks are retired, or the scheme
-  // is none; a plane that never calls it never elides.
+  // block-aligned. Publishes no view (every load takes the full path)
+  // when a RecoveryManager is attached, blocks are retired, or the
+  // scheme is none; a plane that never calls it never elides.
   void BeginRun();
 
   const sim::ProtectionPlan& plan() const { return plan_; }
   // Mutable access for the recovery subsystem's Tier-2 escalation
-  // (upgrading a repeat-offender range to a second replica). Disarms
-  // the plane until the next BeginRun: the bitmap describes the old
+  // (upgrading a repeat-offender range to a second replica). Withdraws
+  // the view until the next BeginRun: the bitmap describes the old
   // plan.
   sim::ProtectionPlan& mutable_plan() {
-    Disarm();
+    view_ = {};
     return plan_;
   }
   std::uint64_t detections() const { return detections_; }
@@ -78,29 +78,14 @@ class ProtectedDataPlane final : public exec::DataPlane {
 
   // Wires the detect-to-recover pipeline in: mismatches are offered to
   // the manager for arbitration before terminating, and majority-vote
-  // corrections are reported for Tier-0 scrubbing. Disarms the plane,
-  // which BeginRun then leaves unarmed.
+  // corrections are reported for Tier-0 scrubbing. Withdraws the view,
+  // which BeginRun then no longer publishes.
   void AttachRecovery(RecoveryManager* rm) {
     recovery_ = rm;
-    Disarm();
+    view_ = {};
   }
 
  private:
-  // Every load takes the full path again; the view is withdrawn.
-  void Disarm() {
-    armed_ = false;
-    view_ = {};
-  }
-  // The full path of Load: the compare or the vote over every copy of
-  // a tracked load. Out of line, so an elided load pays for none of it.
-  [[gnu::noinline]] void CheckCopies(Pc pc, Addr addr, std::uint8_t* bytes,
-                                     std::uint32_t size);
-  // Blocks past the bitmap (the store grew after BeginRun) may differ.
-  bool MayDiffer(std::uint64_t block) const {
-    const std::uint64_t word = block / 64;
-    return word >= may_differ_.size() ||
-           ((may_differ_[word] >> (block % 64)) & 1) != 0;
-  }
   // Marks every block overlapping [lo, hi).
   void MarkBlocks(Addr lo, Addr hi);
   // Marks every primary block whose replica bytes overlap [lo, hi).
@@ -116,7 +101,6 @@ class ProtectedDataPlane final : public exec::DataPlane {
   // Elision state for the current run (see BeginRun): one "may differ"
   // bit per 128B block of the store (published as the view while
   // armed), and the span of replica space.
-  bool armed_ = false;
   std::vector<std::uint64_t> may_differ_;
   Addr replica_lo_ = 0;
   Addr replica_hi_ = 0;

@@ -1,17 +1,15 @@
 // Kernel-graph runtime: applications declare their kernel launches as
-// a DAG over named data objects instead of a flat ordered list. Nodes
-// are kernel launches annotated with the objects they read and write;
-// edges are dependencies — either *data* edges carrying the object
-// name that flows producer → consumer, or plain *ordering* edges
-// (empty object name) used by the single-chain compatibility shim that
-// migrates list-style apps unchanged.
+// a DAG over named data objects. Nodes are kernel launches annotated
+// with the objects they read and write; edges are dependencies —
+// either *data* edges carrying the object name that flows producer →
+// consumer, or plain *ordering* edges (empty object name), which link
+// the kernels of a chain app (apps::Chain) in program order.
 //
 // Execution is deterministic by construction: TopoOrder() runs Kahn's
 // algorithm with a smallest-ready-node-id tie-break, so the schedule
 // is a pure function of the graph (no hash-order or pointer-order
 // dependence), and a chain inserted in program order executes in
-// exactly that order — which is what keeps the legacy apps' traces,
-// goldens and campaign fingerprints bit-identical after the refactor.
+// exactly that order.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +36,7 @@ struct GraphEdge {
   std::uint32_t producer = 0;
   std::uint32_t consumer = 0;
   // Data object flowing along the edge; empty for a pure ordering edge
-  // (the chain shim's kernel#i -> kernel#i+1 links).
+  // (a chain's kernel#i -> kernel#i+1 links).
   std::string object;
 
   friend bool operator==(const GraphEdge&, const GraphEdge&) = default;

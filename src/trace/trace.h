@@ -33,8 +33,8 @@ struct WarpTrace {
 };
 
 // Sentinel for KernelTrace::node: "no graph node assigned"; BuildStore
-// substitutes the kernel's index, which is what every chain-shimmed
-// launch list gets.
+// substitutes the kernel's index, which is what every chain app's
+// launches get.
 inline constexpr std::uint32_t kNoNode = 0xffffffffu;
 
 struct KernelTrace {

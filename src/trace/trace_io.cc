@@ -18,9 +18,9 @@ constexpr char kMagic[8] = {'d', 'c', 'r', 'm', 't', 'r', 'c', '\n'};
 constexpr std::uint32_t kVersion = 1;
 // Version 2 adds graph metadata: a per-kernel node id and a trailing
 // producer/consumer edge section. It is written only when the store
-// actually carries nontrivial metadata, so every chain-shimmed legacy
-// app keeps emitting byte-identical version-1 artifacts (and their
-// campaign fingerprints hold).
+// actually carries nontrivial metadata, so every chain app keeps
+// emitting byte-identical version-1 artifacts (and their campaign
+// fingerprints hold).
 constexpr std::uint32_t kVersionGraph = 2;
 constexpr const char* kContext = "trace file";
 

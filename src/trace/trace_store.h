@@ -194,7 +194,7 @@ class TraceStore {
     std::uint32_t warp_begin = 0;
     std::uint32_t warp_end = 0;
     // Kernel-graph node id of this launch. Equal to the kernel's index
-    // for chain-shimmed (legacy) apps and hand-built traces; may
+    // for chain apps and hand-built traces; may
     // differ when a DAG's topological order departs from node ids.
     std::uint32_t node_id = 0;
 
@@ -207,8 +207,8 @@ class TraceStore {
 
   // One producer → consumer data dependency between two store kernels
   // (indices into the kernels column), labeled with the object that
-  // flows along it. Chain-shim ordering edges are NOT recorded — only
-  // genuine data edges — so legacy stores carry none and their
+  // flows along it. A chain's ordering edges are NOT recorded — only
+  // genuine data edges — so chain apps' stores carry none and their
   // serialized bytes (and campaign fingerprints) are unchanged.
   struct TraceEdge {
     std::uint32_t producer = 0;
@@ -242,7 +242,7 @@ class TraceStore {
     std::vector<std::uint32_t> blocks_packed;
     std::vector<Addr> blocks_wide;
     // Producer → consumer data edges, sorted (producer, consumer,
-    // object). Empty for chain-shimmed apps and hand-built traces.
+    // object). Empty for chain apps and hand-built traces.
     std::vector<TraceEdge> edges;
 
     std::size_t NumBlocks() const {

@@ -88,8 +88,8 @@ TEST(AnalyzeApps, GramschmidtWritablePlanIsReadOnlyViolation) {
   auto app = apps::MakeApp("P-GRAMSCHM", apps::AppScale::kTiny);
   const auto profile = apps::ProfileApp(*app, sim::GpuConfig{});
   const std::vector<std::string> cover{"A", "Q", "R"};
-  const auto setup = apps::MakeProtectionSetupForObjects(
-      *app, sim::Scheme::kDetectCorrect, cover);
+  const auto setup = apps::BuildProtection(
+      *app, apps::Cover{sim::Scheme::kDetectCorrect, cover, {}});
   ASSERT_TRUE(setup.plan.propagate_stores);
   analysis::AnalyzerInput in;
   in.traces = profile.trace_store.get();
@@ -388,7 +388,7 @@ class LyingApp final : public apps::App {
       dev.Write<float>(in_.AddrOf(i), static_cast<float>(i));
     }
   }
-  std::vector<apps::KernelLaunch> Kernels() override {
+  exec::KernelGraph Graph() override {
     exec::LaunchConfig cfg;
     cfg.grid = {2, 1, 1};
     cfg.block = {64, 1, 1};
@@ -396,19 +396,25 @@ class LyingApp final : public apps::App {
     auto out = out_;
     // Kernel 1 stores to the "read-only" input; kernel 2 then loads it,
     // which is where lazy compare would hit the stale replica.
-    return {{"lying_update", cfg,
-             [in](exec::ThreadCtx& ctx) {
-               const std::uint64_t i =
-                   ctx.blockIdx().x * ctx.blockDim().x + ctx.threadIdx().x;
-               if (i >= kN) return;
-               in.St(ctx, 2, i, in.Ld(ctx, 1, i) + 1.0f);
-             }},
-            {"lying_consume", cfg, [in, out](exec::ThreadCtx& ctx) {
-               const std::uint64_t i =
-                   ctx.blockIdx().x * ctx.blockDim().x + ctx.threadIdx().x;
-               if (i >= kN) return;
-               out.St(ctx, 4, i, in.Ld(ctx, 3, i) * 2.0f);
-             }}};
+    exec::GraphNode update;
+    update.name = "lying_update";
+    update.cfg = cfg;
+    update.body = [in](exec::ThreadCtx& ctx) {
+      const std::uint64_t i =
+          ctx.blockIdx().x * ctx.blockDim().x + ctx.threadIdx().x;
+      if (i >= kN) return;
+      in.St(ctx, 2, i, in.Ld(ctx, 1, i) + 1.0f);
+    };
+    exec::GraphNode consume;
+    consume.name = "lying_consume";
+    consume.cfg = cfg;
+    consume.body = [in, out](exec::ThreadCtx& ctx) {
+      const std::uint64_t i =
+          ctx.blockIdx().x * ctx.blockDim().x + ctx.threadIdx().x;
+      if (i >= kN) return;
+      out.St(ctx, 4, i, in.Ld(ctx, 3, i) * 2.0f);
+    };
+    return apps::Chain({std::move(update), std::move(consume)});
   }
   std::vector<std::string> OutputObjects() const override { return {"out"}; }
   double OutputError(std::span<const float> golden,

@@ -375,7 +375,7 @@ TEST(ProtectedPlaneElision, StraddlingLoadChecksItsSecondBlock) {
 
 // The precondition at work: copies that differ without a fault or a
 // store through the plane (here written behind its back) are elided
-// when armed and caught on the full path.
+// by a kernel load once armed and caught on the full path.
 TEST(ProtectedPlaneElision, ArmedPlaneSkipsCleanBlocks) {
   mem::DeviceMemory dev;
   const auto id = dev.space().Allocate("w", kBlockSize, true);
@@ -388,7 +388,9 @@ TEST(ProtectedPlaneElision, ArmedPlaneSkipsCleanBlocks) {
   float out = 0;
   EXPECT_THROW(plane.Load(1, 0, &out, 4), DetectionTerminated);
   plane.BeginRun();
-  plane.Load(1, 0, &out, 4);
+  const exec::LaunchConfig cfg;
+  exec::ThreadCtx ctx(exec::ThreadCoord{}, cfg, plane, nullptr);
+  out = ctx.Ld<float>(1, 0);
   EXPECT_FLOAT_EQ(out, 1.0f);
   EXPECT_EQ(plane.detections(), 1u);
 }

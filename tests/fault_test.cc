@@ -227,21 +227,25 @@ class ThrowingApp final : public apps::App {
       dev.Write<float>(in_.AddrOf(i), static_cast<float>(i));
     }
   }
-  std::vector<apps::KernelLaunch> Kernels() override {
+  exec::KernelGraph Graph() override {
     exec::LaunchConfig cfg;
     cfg.grid = {1, 1, 1};
     cfg.block = {kN, 1, 1};
     auto in = in_;
     auto out = out_;
     auto launches = launches_;
-    return {{"copy", cfg, [in, out, launches](exec::ThreadCtx& ctx) {
-               const std::uint64_t i = ctx.threadIdx().x;
-               if (i == 0 && launches != nullptr &&
-                   ++launches->count == launches->throw_at) {
-                 throw std::logic_error("kernel bug");
-               }
-               out.St(ctx, 2, i, in.Ld(ctx, 1, i));
-             }}};
+    exec::GraphNode copy;
+    copy.name = "copy";
+    copy.cfg = cfg;
+    copy.body = [in, out, launches](exec::ThreadCtx& ctx) {
+      const std::uint64_t i = ctx.threadIdx().x;
+      if (i == 0 && launches != nullptr &&
+          ++launches->count == launches->throw_at) {
+        throw std::logic_error("kernel bug");
+      }
+      out.St(ctx, 2, i, in.Ld(ctx, 1, i));
+    };
+    return apps::Chain({std::move(copy)});
   }
   std::vector<std::string> OutputObjects() const override { return {"out"}; }
   double OutputError(std::span<const float> golden,

@@ -1,6 +1,6 @@
 // Kernel-graph runtime tests: structural validation (cycles, missing
-// producers, dangling consumers), deterministic topological order, the
-// single-chain compatibility shim's bit-identity for every legacy app,
+// producers, dangling consumers), deterministic topological order,
+// pinned serialized traces for every chain and DAG app,
 // version-2 trace serialization with graph metadata, node-keyed kernel
 // stats, cross-kernel ACE liveness over data edges, and the
 // cross-kernel hotness view of the DAG workloads.
@@ -136,21 +136,8 @@ TEST(KernelGraph, ConnectByObjectsLinksEveryPriorWriter) {
 }
 
 // ---------------------------------------------------------------------
-// Compatibility shim: every legacy app's graph is a chain that runs in
-// list order and serializes to byte-identical version-1 artifacts.
-
-std::vector<trace::KernelTrace> RunLegacyList(apps::App& app,
-                                              mem::DeviceMemory& dev) {
-  exec::DirectDataPlane plane(dev);
-  std::vector<trace::KernelTrace> traces;
-  for (auto& k : app.Kernels()) {
-    trace::TraceBuilder builder;
-    exec::LaunchKernel(k.cfg, plane, &builder, k.body);
-    traces.push_back(builder.Build(k.cfg));
-    traces.back().name = k.name;
-  }
-  return traces;
-}
+// Chain apps: every app but the DAG apps declares a chain that runs in
+// program order and serializes to the version-1 bytes pinned below.
 
 // The driver's graph walk, minus the profiler: topological order,
 // node-id-stamped traces, data edges mapped to kernel indices.
@@ -179,7 +166,7 @@ std::shared_ptr<const trace::TraceStore> RunGraphWalk(
   return trace::BuildStore(traces, std::move(edges));
 }
 
-std::vector<std::string> LegacyAppNames() {
+std::vector<std::string> ChainAppNames() {
   std::vector<std::string> names = apps::AllAppNames();
   for (const std::string& g : apps::GraphAppNames()) {
     names.erase(std::remove(names.begin(), names.end(), g), names.end());
@@ -187,27 +174,83 @@ std::vector<std::string> LegacyAppNames() {
   return names;
 }
 
+// Serialized size and stored FNV-1a tail of each app's graph-walk
+// trace. A change to an app's kernels, its graph or the trace format
+// moves them. Chains must stay version 1 (no graph metadata); the two
+// DAG apps version 2.
+struct TracePin {
+  const char* app;
+  apps::AppScale scale;
+  std::size_t bytes;
+  std::uint64_t checksum;
+};
+
+constexpr TracePin kChainPins[] = {
+    {"C-NN", apps::AppScale::kTiny, 314194, 0xdabae52cfe66a0b6ull},
+    {"P-BICG", apps::AppScale::kTiny, 24669, 0x05ac315ed6e45f25ull},
+    {"P-GESUMMV", apps::AppScale::kTiny, 42603, 0xf690901035c2df76ull},
+    {"P-MVT", apps::AppScale::kTiny, 24706, 0x50d93391f79cb008ull},
+    {"A-Laplacian", apps::AppScale::kTiny, 18439, 0x756b1a676c7798a8ull},
+    {"A-Meanfilter", apps::AppScale::kTiny, 11503, 0x9219e7f2ea9b299dull},
+    {"A-Sobel", apps::AppScale::kTiny, 23047, 0x8fe433f8c3d73e4eull},
+    {"A-SRAD", apps::AppScale::kTiny, 20589, 0x8b91a4bc5512cab7ull},
+    {"P-ATAX", apps::AppScale::kTiny, 24675, 0x3ed33d4c1ee51145ull},
+    {"C-ConvRows", apps::AppScale::kTiny, 31799, 0xdd3dd974c079c8faull},
+    {"C-Histogram", apps::AppScale::kTiny, 10750, 0x84ff1ce24d34d876ull},
+    {"C-BlackScholes", apps::AppScale::kTiny, 4274, 0x2a3651e02a9ee517ull},
+    {"P-GRAMSCHM", apps::AppScale::kTiny, 218915, 0xbc4f5b4d525f3559ull},
+    {"C-NN", apps::AppScale::kSmall, 750909, 0x6bfdeef0c42f8fb9ull},
+    {"P-BICG", apps::AppScale::kSmall, 175970, 0x363728ae3133b027ull},
+    {"P-GESUMMV", apps::AppScale::kSmall, 302968, 0x7a38cd08365b7227ull},
+    {"P-MVT", apps::AppScale::kSmall, 176067, 0xafacd4c0439424daull},
+    {"A-Laplacian", apps::AppScale::kSmall, 79430, 0x3166828bb1acd2b5ull},
+    {"A-Meanfilter", apps::AppScale::kSmall, 48547, 0x21786bc9eb298229ull},
+    {"A-Sobel", apps::AppScale::kSmall, 97862, 0x6c91cb7b1438db0full},
+    {"A-SRAD", apps::AppScale::kSmall, 84822, 0x83a4b0910a49dffbull},
+    {"P-ATAX", apps::AppScale::kSmall, 175986, 0xe7d5f3a617d432f8ull},
+    {"C-ConvRows", apps::AppScale::kSmall, 138041, 0x7cb4915ac545b72dull},
+    {"C-Histogram", apps::AppScale::kSmall, 43048, 0x44482f0cd1713d35ull},
+    {"C-BlackScholes", apps::AppScale::kSmall, 17331, 0x3ef4ccf82fef83f4ull},
+    {"P-GRAMSCHM", apps::AppScale::kSmall, 492427, 0xf67f64d0de4b9953ull},
+};
+
+constexpr TracePin kGraphPins[] = {
+    {"L-Transformer", apps::AppScale::kTiny, 13720, 0xc5e7e8ba65c1e8fcull},
+    {"L-MLP2", apps::AppScale::kTiny, 5772, 0x98e467fc2596fc26ull},
+    {"L-Transformer", apps::AppScale::kSmall, 157211, 0xfa917bc81c573d6full},
+    {"L-MLP2", apps::AppScale::kSmall, 16883, 0xd9adc752638a43e0ull},
+};
+
+void ExpectPinnedTrace(const TracePin& pin, std::uint32_t version) {
+  const std::string context =
+      std::string(pin.app) + " at " + NameOf(apps::kScaleNames, pin.scale);
+  auto app = apps::MakeApp(pin.app, pin.scale);
+  mem::DeviceMemory dev;
+  app->Setup(dev);
+  const std::string bytes = trace::SaveTraceToString(*RunGraphWalk(*app, dev));
+  const trace::TraceTailProbe probe = trace::ProbeTraceTailBytes(bytes);
+  EXPECT_EQ(bytes.size(), pin.bytes) << context;
+  EXPECT_EQ(probe.checksum, pin.checksum) << context;
+  EXPECT_EQ(probe.version, version) << context;
+}
+
 TEST(GraphShim, LegacyAppsSerializeBitIdenticallyToVersion1) {
-  for (const std::string& name : LegacyAppNames()) {
-    auto app1 = apps::MakeApp(name, apps::AppScale::kTiny);
-    mem::DeviceMemory dev1;
-    app1->Setup(dev1);
-    const auto legacy = trace::BuildStore(RunLegacyList(*app1, dev1));
-
-    auto app2 = apps::MakeApp(name, apps::AppScale::kTiny);
-    mem::DeviceMemory dev2;
-    app2->Setup(dev2);
-    const auto graph = RunGraphWalk(*app2, dev2);
-
-    const std::string legacy_bytes = trace::SaveTraceToString(*legacy);
-    const std::string graph_bytes = trace::SaveTraceToString(*graph);
-    EXPECT_EQ(legacy_bytes, graph_bytes) << name;
-    EXPECT_EQ(trace::ProbeTraceTailBytes(graph_bytes).version, 1u) << name;
+  const std::vector<std::string> names = ChainAppNames();
+  ASSERT_EQ(std::size(kChainPins), 2 * names.size());
+  for (const TracePin& pin : kChainPins) {
+    EXPECT_NE(std::find(names.begin(), names.end(), pin.app), names.end())
+        << pin.app;
+    ExpectPinnedTrace(pin, 1);
   }
 }
 
+TEST(GraphTraceIo, GraphAppsSerializeToPinnedVersion2) {
+  ASSERT_EQ(std::size(kGraphPins), 2 * apps::GraphAppNames().size());
+  for (const TracePin& pin : kGraphPins) ExpectPinnedTrace(pin, 2);
+}
+
 TEST(GraphShim, ShimGraphIsChainOfOrderingEdges) {
-  for (const std::string& name : LegacyAppNames()) {
+  for (const std::string& name : ChainAppNames()) {
     auto app = apps::MakeApp(name, apps::AppScale::kTiny);
     mem::DeviceMemory dev;
     app->Setup(dev);

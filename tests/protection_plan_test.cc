@@ -92,7 +92,7 @@ void ExpectNamedSetMatches(const std::string& app_name,
        {sim::Scheme::kDetectOnly, sim::Scheme::kDetectCorrect}) {
     SCOPED_TRACE(sim::SchemeName(scheme));
     const auto setup =
-        apps::MakeProtectionSetupForObjects(*app, scheme, names);
+        apps::BuildProtection(*app, apps::Cover{scheme, names, {}});
     const fault::FaultCampaign campaign(*app, profile, scheme, names,
                                         mem::EccMode::kNone,
                                         /*allow_unsound=*/true);
@@ -109,8 +109,8 @@ TEST(NamedPlanOracle, WritableNamedSet) {
   auto app = apps::MakeApp("P-MVT", apps::AppScale::kTiny);
   const auto profile = apps::ProfileApp(*app, sim::GpuConfig{});
   const std::vector<std::string> names{"y1", "y2", "x1", "x2"};
-  const auto setup = apps::MakeProtectionSetupForObjects(
-      *app, sim::Scheme::kDetectCorrect, names);
+  const auto setup = apps::BuildProtection(
+      *app, apps::Cover{sim::Scheme::kDetectCorrect, names, {}});
   ASSERT_TRUE(setup.plan.propagate_stores);
   ExpectNamedSetMatches("P-MVT", names);
 }

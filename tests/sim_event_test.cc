@@ -225,8 +225,8 @@ TEST(EngineIdentity, WritableStorePropagation) {
   auto app = apps::MakeApp("P-MVT", apps::AppScale::kTiny);
   const auto profile = apps::ProfileApp(*app, sim::GpuConfig{});
   const std::vector<std::string> cover{"y1", "y2", "x1", "x2"};
-  const auto setup = apps::MakeProtectionSetupForObjects(
-      *app, sim::Scheme::kDetectCorrect, cover);
+  const auto setup = apps::BuildProtection(
+      *app, apps::Cover{sim::Scheme::kDetectCorrect, cover, {}});
   ASSERT_TRUE(setup.plan.propagate_stores);
   const auto cyc = apps::RunTimingDetailed(
       *app, profile, WithEngine({}, sim::SimEngine::kCycleStepped),

@@ -19,13 +19,16 @@ namespace dcrm {
 namespace {
 
 // The legacy collection loop ProfileApp used before the store existed:
-// one TraceBuilder per kernel over a fresh functional execution.
+// one TraceBuilder per kernel over a fresh functional execution, in the
+// graph's topological order.
 std::vector<trace::KernelTrace> CollectLegacy(apps::App& app) {
   mem::DeviceMemory dev;
   app.Setup(dev);
   exec::DirectDataPlane plane(dev);
+  exec::KernelGraph graph = app.Graph();
   std::vector<trace::KernelTrace> out;
-  for (auto& k : app.Kernels()) {
+  for (const std::uint32_t id : graph.TopoOrder()) {
+    const exec::GraphNode& k = graph.Node(id);
     trace::TraceBuilder builder;
     exec::LaunchKernel(k.cfg, plane, &builder, k.body);
     out.push_back(builder.Build(k.cfg));
