@@ -7,6 +7,16 @@
 
 namespace dcrm::core {
 
+namespace {
+
+// The end of a range's padded extent: allocations are padded to a
+// block boundary, so the bytes up to it belong to no other object.
+Addr PaddedEnd(const sim::ProtectedRange& r) {
+  return (r.base + r.size + kBlockSize - 1) / kBlockSize * kBlockSize;
+}
+
+}  // namespace
+
 void ProtectedDataPlane::Load(Pc pc, Addr addr, void* out,
                               std::uint32_t size) {
   auto* bytes = static_cast<std::uint8_t*>(out);
@@ -82,38 +92,64 @@ void ProtectedDataPlane::Store(Pc pc, Addr addr, const void* in,
 
 void ProtectedDataPlane::BeginRun() {
   view_ = {};
-  // Recovery scrubs, retires and escalates copies mid-run, which this
-  // bitmap does not track; retirement also moves faults off the
-  // logical blocks they are keyed by.
-  if (recovery_ != nullptr || plan_.scheme == sim::Scheme::kNone ||
-      !dev_->retired().Empty()) {
-    return;
-  }
+  if (plan_.scheme == sim::Scheme::kNone) return;
   const std::uint64_t blocks =
       (dev_->space().StoreSize() + kBlockSize - 1) / kBlockSize;
   may_differ_.assign((blocks + 63) / 64, 0);
   replica_lo_ = ~Addr{0};
   replica_hi_ = 0;
+  const std::byte* store = dev_->space().Data();
+  const Addr store_end = dev_->space().StoreSize();
   for (const sim::ProtectedRange& r : plan_.ranges) {
+    const Addr end = r.base + r.size;
+    const std::uint64_t padded = PaddedEnd(r) - r.base;
     for (unsigned c = 0; c < plan_.CopiesFor(r); ++c) {
-      replica_lo_ = std::min(replica_lo_, r.replica_base[c]);
-      replica_hi_ = std::max(replica_hi_, r.replica_base[c] + r.size);
+      const Addr rb = r.replica_base[c];
+      replica_lo_ = std::min(replica_lo_, rb);
+      replica_hi_ = std::max(replica_hi_, rb + padded);
+      // A load that crosses the range's end compares the padding too,
+      // so a copy whose padding differs from the primary's (a range
+      // that ends inside its object, or padding no restore resets)
+      // keeps the tail block on the full path.
+      if (padded != r.size &&
+          (r.base + padded > store_end || rb + padded > store_end ||
+           std::memcmp(store + end, store + rb + r.size, padded - r.size) !=
+               0)) {
+        MarkBlocks(end - 1, end);
+      }
     }
     // A block the range only partly covers stays on the full path: a
     // store that starts outside the range can reach into it without
-    // crossing a block boundary.
-    if (r.base % kBlockSize != 0) MarkBlocks(r.base, r.base + 1);
-    const Addr end = r.base + r.size;
-    if (end % kBlockSize != 0) MarkBlocks(end - 1, end);
+    // crossing a block boundary. Only a range whose base is not
+    // block-aligned shares a block with bytes outside its padded
+    // extent (allocations are block-aligned and padded to a block).
+    if (r.base % kBlockSize != 0) {
+      MarkBlocks(r.base, r.base + 1);
+      MarkBlocks(end - 1, end);
+    }
   }
+  const auto mark_block = [this](std::uint64_t block) {
+    MarkBlocks(block * kBlockSize, (block + 1) * kBlockSize);
+    MarkCopiesOf(block * kBlockSize, (block + 1) * kBlockSize);
+  };
   for (const std::uint64_t block : dev_->faults().FaultyBlocks()) {
-    const Addr lo = block * kBlockSize;
-    MarkBlocks(lo, lo + kBlockSize);
-    MarkCopiesOf(lo, lo + kBlockSize);
+    mark_block(block);
   }
-  // Stores mark the bitmap in place, so the view stays current all run.
+  // A retired block reads from its spare, whose faults are keyed by the
+  // spare's address.
+  for (const auto& [block, spare] : dev_->retired().Entries()) {
+    mark_block(block);
+  }
+  // Stores, scrubs and retirements mark the bitmap in place, so the
+  // view stays current all run.
   view_ = {&dev_->space(), &may_differ_,
            dev_->space().StoreSize() / kBlockSize};
+}
+
+void ProtectedDataPlane::NoteChanged(Addr lo, Addr hi) {
+  if (view_.blocks == 0) return;
+  MarkBlocks(lo, hi);
+  MarkCopiesOf(lo, hi);
 }
 
 void ProtectedDataPlane::MarkBlocks(Addr lo, Addr hi) {
@@ -131,10 +167,17 @@ void ProtectedDataPlane::MarkCopiesOf(Addr lo, Addr hi) {
     for (unsigned c = 0; c < plan_.CopiesFor(r); ++c) {
       const Addr base = r.replica_base[c];
       const Addr from = std::max(lo, base);
-      const Addr to = std::min(hi, base + r.size);
+      const Addr to = std::min(hi, base + (PaddedEnd(r) - r.base));
       if (from < to) MarkBlocks(r.base + (from - base), r.base + (to - base));
     }
   }
+}
+
+bool ProtectedDataPlane::InPaddedExtent(Addr a) const {
+  for (const sim::ProtectedRange& r : plan_.ranges) {
+    if (a >= r.base && a < PaddedEnd(r)) return true;
+  }
+  return false;
 }
 
 void ProtectedDataPlane::NoteStore(Addr addr, std::uint32_t size,
@@ -145,8 +188,9 @@ void ProtectedDataPlane::NoteStore(Addr addr, std::uint32_t size,
   MarkCopiesOf(addr, end);
   if (propagated == nullptr) {
     // The copies kept their old bytes. A store across a block boundary
-    // may reach a range its first byte is not in.
-    if (BlockOf(addr) != BlockOf(end - 1) || plan_.Lookup(addr) != nullptr) {
+    // may reach a range its first byte is not in; one into a range's
+    // padding changes bytes a load crossing the range's end compares.
+    if (BlockOf(addr) != BlockOf(end - 1) || InPaddedExtent(addr)) {
       MarkBlocks(addr, end);
     }
     return;

@@ -157,6 +157,7 @@ bool RecoveryManager::Scrub(Addr addr, const std::uint8_t* good,
   if (!cfg_.scrub) return false;
   ++stats_.scrubs;
   dev_->WriteBytes(addr, good, size);
+  if (plane_ != nullptr) plane_->NoteChanged(addr, addr + size);
   bool clean = false;
   try {
     std::uint8_t check[16];
@@ -190,6 +191,9 @@ bool RecoveryManager::RetireBlock(std::uint64_t block) {
   std::memcpy(dev_->space().Data() + spare * kBlockSize,
               dev_->space().Data() + block * kBlockSize, kBlockSize);
   dev_->retired().Map(block, spare);
+  if (plane_ != nullptr) {
+    plane_->NoteChanged(block * kBlockSize, (block + 1) * kBlockSize);
+  }
   ++stats_.retired_blocks;
   return true;
 }

@@ -208,7 +208,7 @@ class RecoveryManager {
   // The campaign restores its pristine snapshot by writing the
   // *original* store locations; retired blocks read from their spares,
   // so those must be refilled from the snapshot too. Call after every
-  // snapshot restore.
+  // snapshot restore, before the plane's BeginRun.
   void RefreshRetiredFromSnapshot();
 
   // Tier-0 plane callbacks.
@@ -233,8 +233,12 @@ class RecoveryManager {
 
   // Writes `good` back to `addr`, verifies it sticks, and retires the
   // block when it does not. Returns true if the location now reads
-  // back clean.
+  // back clean. Marks the written bytes through the plane
+  // (ProtectedDataPlane::NoteChanged), so an armed plane sends their
+  // blocks to the full path.
   bool Scrub(Addr addr, const std::uint8_t* good, std::uint32_t size);
+  // Remaps `block` to the next spare and marks it through the plane:
+  // from then on its loads read the spare.
   bool RetireBlock(std::uint64_t block);
   void RecordOffense(Addr addr);
   void SeedEscalated(const EscalatedReplica& e);

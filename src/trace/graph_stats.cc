@@ -81,7 +81,7 @@ void WriteGraphText(const TraceStore& store, std::ostream& os) {
        << store.Kernel(k).NumWarps() << "\n";
   }
   if (reuse.empty()) {
-    os << "  (no data edges: single-kernel or chain-shimmed app)\n";
+    os << "  (no data edges: single-kernel or chain app)\n";
     return;
   }
   for (const EdgeReuse& r : reuse) {

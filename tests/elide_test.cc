@@ -22,6 +22,8 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -31,12 +33,15 @@
 #include "analysis/vulnerability.h"
 #include "apps/driver.h"
 #include "apps/registry.h"
+#include "common/binio.h"
 #include "common/rng.h"
 #include "core/protection.h"
 #include "core/recovery.h"
 #include "core/replication.h"
 #include "exec/kernel.h"
+#include "fault/campaign.h"
 #include "fault/fault_shapes.h"
+#include "fault/parallel_campaign.h"
 #include "sim/request.h"
 
 namespace dcrm {
@@ -99,6 +104,7 @@ struct RunRecord {
   std::vector<std::byte> store;
   std::vector<std::uint8_t> observed;
   std::string end;  // how the run ended, with the faulting address
+  std::optional<Addr> failed_at;  // the address of a detection or a DUE
   std::uint64_t detections = 0;
   std::uint64_t corrections = 0;
   mem::EccCounters ecc;
@@ -118,8 +124,10 @@ RunRecord RunFrom(mem::DeviceMemory& dev, const std::vector<std::byte>& image,
   } catch (const core::DetectionTerminated& e) {
     r.end = "detected pc=" + std::to_string(e.pc()) +
             " addr=" + std::to_string(e.addr());
+    r.failed_at = e.addr();
   } catch (const mem::DueError& e) {
     r.end = "due addr=" + std::to_string(e.addr());
+    r.failed_at = e.addr();
   } catch (const std::out_of_range& e) {
     r.end = std::string("out_of_range: ") + e.what();
   } catch (const std::exception& e) {
@@ -205,9 +213,12 @@ RunRecord ExpectDirectViewExact(mem::DeviceMemory& dev,
 
 // Fault sets: the campaign shapes on blocks drawn from the
 // miss-weighted table, plus word faults moved into one copy or every
-// copy of a covered block (what the replica-side marking must catch).
+// copy of a covered block (what the replica-side marking must catch),
+// or flipping the same word of the primary and, one bit over, of every
+// copy (a mismatch no SECDED probe arbitrates, which recovery answers
+// by retiring and re-executing).
 enum class FaultSet { kWord1x2, kWord5x4, kColumn, kDramRow, kOneCopy,
-                      kEveryCopy };
+                      kEveryCopy, kPrimaryAndCopies };
 constexpr FaultSet kFaultSets[] = {FaultSet::kWord1x2, FaultSet::kWord5x4,
                                    FaultSet::kColumn,  FaultSet::kDramRow,
                                    FaultSet::kOneCopy, FaultSet::kEveryCopy};
@@ -226,6 +237,8 @@ const char* FaultSetName(FaultSet f) {
       return "one-copy";
     case FaultSet::kEveryCopy:
       return "every-copy";
+    case FaultSet::kPrimaryAndCopies:
+      return "primary-and-copies";
   }
   return "?";
 }
@@ -293,7 +306,8 @@ std::vector<mem::StuckAtFault> MakeFaults(FaultSet set,
       break;
     }
     case FaultSet::kOneCopy:
-    case FaultSet::kEveryCopy: {
+    case FaultSet::kEveryCopy:
+    case FaultSet::kPrimaryAndCopies: {
       if (plan.ranges.empty()) break;
       const sim::ProtectedRange& r =
           plan.ranges[rng.Below(plan.ranges.size())];
@@ -301,8 +315,22 @@ std::vector<mem::StuckAtFault> MakeFaults(FaultSet set,
       const Addr hi = std::min<Addr>(lo + kBlockSize, r.base + r.size);
       const unsigned copies =
           set == FaultSet::kOneCopy ? 1 : plan.CopiesFor(r);
+      const auto flip = [&space](Addr a, std::uint8_t bit) {
+        const auto stored = static_cast<std::uint8_t>(space.Data()[a]);
+        return mem::StuckAtFault{.byte_addr = a,
+                                 .bit = bit,
+                                 .stuck_value = ((stored >> bit) & 1) == 0};
+      };
       for (const mem::StuckAtFault& f :
            mem::MakeWordFaultsInRange(lo, hi, 2, rng)) {
+        if (set == FaultSet::kPrimaryAndCopies) {
+          out.push_back(flip(f.byte_addr, f.bit));
+          for (unsigned c = 0; c < copies; ++c) {
+            out.push_back(flip(r.ReplicaAddr(c, f.byte_addr),
+                               static_cast<std::uint8_t>((f.bit + 1) % 8)));
+          }
+          continue;
+        }
         for (unsigned c = 0; c < copies; ++c) {
           mem::StuckAtFault moved = f;
           moved.byte_addr = r.ReplicaAddr(c, f.byte_addr);
@@ -450,16 +478,17 @@ TEST(ElideNamedCovers, PropagatedStoresMatchFullPath) {
 // ---------------------------------------------------------------------------
 // Hand-built planes: the edges no application load reaches.
 
-// A device with one protected 256-byte object `w` (two blocks) of
-// distinct words, replicated `copies` times.
+// A device with one protected object `w` of distinct words (256 bytes,
+// two blocks, unless `size` says otherwise), replicated `copies` times.
 struct Synthetic {
   mem::DeviceMemory dev;
   sim::ProtectionPlan plan;
   std::vector<std::byte> image;
 
-  Synthetic(unsigned copies, bool propagate) {
-    const auto id = dev.space().Allocate("w", 2 * kBlockSize, true);
-    for (Addr a = 0; a < 2 * kBlockSize; a += 4) {
+  Synthetic(unsigned copies, bool propagate,
+            std::uint64_t size = 2 * kBlockSize) {
+    const auto id = dev.space().Allocate("w", size, true);
+    for (Addr a = 0; a < size; a += 4) {
       dev.Write<std::uint32_t>(a, static_cast<std::uint32_t>(a * 2654435761u));
     }
     dev.space().Allocate("out", kBlockSize, false);
@@ -787,6 +816,11 @@ TEST(ElideSynthetic, SecdedWithAFaultPresent) {
 // ---------------------------------------------------------------------------
 // A view must never outlive what it describes.
 
+// True when the view sends `block` to the full path.
+bool ViewBit(const exec::LoadView& view, std::uint64_t block) {
+  return ((*view.slow)[block / 64] >> (block % 64)) & 1;
+}
+
 // Armed, then the store grows (and reallocates) before the loads: the
 // view still reads the live store, and the new blocks take Load.
 TEST(ElideLifetime, AllocationAfterBeginRun) {
@@ -852,9 +886,10 @@ TEST(ElideLifetime, FaultAddedPastTheDirectViewsBitmap) {
 }
 
 // A plane armed before a RecoveryManager is attached: attaching must
-// withdraw the view and disarm it, for the run that follows and after
-// a BeginRun that recovery leaves unarmed, so the run matches a plane
-// that had recovery from the start (recovery counters included).
+// withdraw the view, so the run that follows takes the full path,
+// while a BeginRun after the attach publishes it again over the faults
+// then set; either way the run matches a plane that had recovery from
+// the start (recovery counters included).
 TEST(ElideLifetime, RecoveryAttachedAfterBeginRun) {
   for (const bool begin_again : {false, true}) {
     for (const bool faults_first : {false, true}) {
@@ -885,7 +920,7 @@ TEST(ElideLifetime, RecoveryAttachedAfterBeginRun) {
           plane.AttachRecovery(&rm);
           if (!faults_first) add_faults();
           if (begin_again) plane.BeginRun();
-          EXPECT_EQ(plane.view().blocks, 0u);
+          EXPECT_EQ(plane.view().blocks != 0, begin_again);
         } else {
           plane.AttachRecovery(&rm);
           add_faults();
@@ -913,9 +948,9 @@ TEST(ElideLifetime, RecoveryAttachedAfterBeginRun) {
   }
 }
 
-// Armed for one run, then a block is retired: the next BeginRun leaves
-// the plane unarmed and must withdraw its view, since loads of the
-// retired block read its spare.
+// Armed for one run, then a block is retired: the next BeginRun
+// publishes the view with the retired block's bit set, since loads of
+// that block read its spare.
 TEST(ElideLifetime, RetirementAfterAnArmedRun) {
   const std::uint8_t value[4] = {9, 8, 7, 6};
   const auto run = [&](bool armed_before) {
@@ -932,7 +967,8 @@ TEST(ElideLifetime, RetirementAfterAnArmedRun) {
         s.dev.space().Data(),
         s.dev.space().Data() + s.dev.space().StoreSize());
     return Drive(s.dev, plane, image, /*arm=*/true, [&plane, out, &value] {
-      EXPECT_EQ(plane.view().blocks, 0u);
+      EXPECT_GT(plane.view().blocks, BlockOf(out));
+      EXPECT_TRUE(ViewBit(plane.view(), BlockOf(out)));
       plane.Store(/*pc=*/2, out + 8, value, 4);
       std::vector<std::uint8_t> seen;
       for (Addr a = out; a < out + kBlockSize; a += 4) {
@@ -1052,6 +1088,495 @@ std::string DirectCaseName(const ::testing::TestParamInfo<std::string>& info) {
 INSTANTIATE_TEST_SUITE_P(AllApps, ElideDirect,
                          ::testing::ValuesIn(apps::AllAppNames()),
                          DirectCaseName);
+
+// ---------------------------------------------------------------------------
+// Recovery and sub-block padding (suite ElideRecovery): the view stays
+// published while a RecoveryManager scrubs, retires and re-executes,
+// and the tail block of a sub-block range is no longer pre-marked.
+
+// The campaign-recovery workload's apps.
+const std::vector<std::string> kRecoveryApps = {
+    "P-BICG",       "P-GESUMMV", "P-MVT", "A-Laplacian",
+    "A-Meanfilter", "A-Sobel",   "A-SRAD"};
+
+// Appends every field of one trial's result to `out`.
+void AppendTrial(std::string& out, const fault::TrialResult& r) {
+  const core::RecoveryStats& s = r.recovery;
+  bin::PutU32(out, static_cast<std::uint32_t>(r.outcome));
+  for (const std::uint64_t v :
+       {r.corrections, s.scrubs, s.scrub_sticks, s.arbitrations,
+        s.retired_blocks, s.retries, s.backoff_units, s.escalations,
+        s.exhausted_runs}) {
+    bin::PutU64(out, v);
+  }
+  bin::PutU32(out, static_cast<std::uint32_t>(r.offenses.size()));
+  for (const mem::ObjectId id : r.offenses) bin::PutU32(out, id);
+}
+
+// 64 trials of `app` as the campaign-recovery workload configures them
+// (detect-only over the hot cover, miss-weighted 5 blocks x 4 bits),
+// at the tiny scale, with recovery off and on (budget 3, Tier-2 epoch
+// 16). Runs them trial by trial on one campaign, applying escalations
+// at the engine's epoch boundaries, and returns the FNV-1a digest of
+// every TrialResult and escalation count. ParallelCampaign at jobs 1
+// and 2 must reach the same totals and ledger at every epoch.
+std::uint64_t CampaignTrialsDigest(const std::string& name) {
+  const apps::ProfileResult& profile = ProfileOf(name);
+  const auto cover = static_cast<unsigned>(profile.hot.hot_objects.size());
+  std::string record;
+  for (const bool recovery : {false, true}) {
+    SCOPED_TRACE(name + (recovery ? " recovery" : " no recovery"));
+    fault::CampaignConfig cfg;
+    cfg.target = fault::Target::kMissWeighted;
+    cfg.faulty_blocks = 5;
+    cfg.bits_per_block = 4;
+    cfg.runs = 64;
+    cfg.seed = 1;
+    cfg.recovery.enabled = recovery;
+    cfg.recovery.max_retries = 3;
+    cfg.escalation_epoch = 16;
+    const std::vector<unsigned> ends = {16, 32, 48, 64};
+
+    auto app = apps::MakeApp(name, apps::AppScale::kTiny);
+    fault::FaultCampaign campaign(*app, profile, sim::Scheme::kDetectOnly,
+                                  cover);
+    if (recovery) campaign.EnableRecovery(cfg.recovery);
+    core::EscalationLedger ledger;
+    fault::CampaignCounts counts;
+    std::vector<fault::PrefixCounts> want;
+    for (unsigned t = 0; t < cfg.runs; ++t) {
+      if (recovery && t % cfg.escalation_epoch == 0) {
+        const unsigned applied = campaign.ApplyEscalations(ledger);
+        counts.recovery.escalations += applied;
+        bin::PutU32(record, applied);
+      }
+      const fault::TrialResult r = campaign.RunTrial(cfg, t);
+      AppendTrial(record, r);
+      fault::MergeTrialResult(counts, r);
+      ledger.Merge(r.offenses);
+      if (std::find(ends.begin(), ends.end(), t + 1) != ends.end()) {
+        want.push_back({t + 1, counts, ledger});
+      }
+    }
+    for (const unsigned jobs : {1u, 2u}) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs));
+      fault::CampaignSpec spec;
+      spec.make_app = [name] {
+        return apps::MakeApp(name, apps::AppScale::kTiny);
+      };
+      spec.profile = &profile;
+      spec.scheme = sim::Scheme::kDetectOnly;
+      spec.cover_objects = cover;
+      fault::ParallelCampaign parallel(spec, jobs);
+      const std::vector<fault::PrefixCounts> got =
+          parallel.RunPrefixes(cfg, ends, fault::EngineOptions{});
+      EXPECT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+        EXPECT_EQ(got[i].end, want[i].end);
+        EXPECT_TRUE(got[i].counts == want[i].counts) << "prefix " << i;
+        EXPECT_TRUE(got[i].ledger == want[i].ledger) << "prefix " << i;
+      }
+    }
+  }
+  return bin::Fnv1a(record);
+}
+
+// Per-app digests of the trials above, as they were while an attached
+// RecoveryManager kept every load on the full path.
+const std::map<std::string, std::uint64_t> kCampaignDigests = {
+    {"P-BICG", 0x79db4fb7dd1ed9d4},       {"P-GESUMMV", 0xeee7146907f24d54},
+    {"P-MVT", 0x224f679ba2f5d993},        {"A-Laplacian", 0x55772de7a769ec05},
+    {"A-Meanfilter", 0x941b8f5ab6d2b7f5}, {"A-Sobel", 0x2ca04fe4d04e8d76},
+    {"A-SRAD", 0x603231dfdf2ac240},
+};
+
+class ElideRecoveryCampaign : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ElideRecoveryCampaign, TrialResultsMatchThePinnedDigest) {
+  const std::string& name = GetParam();
+  const std::uint64_t digest = CampaignTrialsDigest(name);
+  EXPECT_EQ(digest, kCampaignDigests.at(name))
+      << name << " digest 0x" << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(ElideRecovery, ElideRecoveryCampaign,
+                         ::testing::ValuesIn(kRecoveryApps), DirectCaseName);
+
+// One recovery trial as the campaign runs it: the last attempt's run
+// record (detections and corrections summed over every attempt) and
+// what the manager did.
+struct RecoveryRecord {
+  RunRecord run;
+  core::RecoveryStats stats;
+  std::vector<mem::ObjectId> offenses;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> retired;
+  unsigned attempts = 0;
+};
+
+// FaultCampaign::RunOnce's attempt loop, with `rm` attached to `plane`:
+// restore `image`, refill the retired blocks, arm the plane and run
+// `body`; a detection or a DUE is offered to the manager, which
+// retires and re-executes while its budget lasts.
+RecoveryRecord RunWithRecovery(mem::DeviceMemory& dev,
+                               core::ProtectedDataPlane& plane,
+                               core::RecoveryManager& rm,
+                               const std::vector<std::byte>& image,
+                               const Body& body) {
+  const core::RecoveryStats before = rm.stats();
+  const std::uint64_t detections = plane.detections();
+  const std::uint64_t corrections = plane.corrections();
+  rm.BeginRun();
+  RecoveryRecord rec;
+  for (;;) {
+    ++rec.attempts;
+    rec.run = RunFrom(dev, image, [&] {
+      rm.RefreshRetiredFromSnapshot();
+      plane.BeginRun();
+      EXPECT_GT(plane.view().blocks, 0u);
+      return body();
+    });
+    if (!rec.run.failed_at || !rm.OnRunFailure(*rec.run.failed_at)) break;
+  }
+  rec.run.detections = plane.detections() - detections;
+  rec.run.corrections = plane.corrections() - corrections;
+  rec.stats = core::StatsDelta(rm.stats(), before);
+  rec.offenses = rm.trial_offenses();
+  rec.retired.assign(dev.retired().Entries().begin(),
+                     dev.retired().Entries().end());
+  std::sort(rec.retired.begin(), rec.retired.end());
+  return rec;
+}
+
+void ExpectSameRecovery(const RecoveryRecord& want,
+                        const RecoveryRecord& got) {
+  ExpectSameRun(want.run, got.run);
+  EXPECT_TRUE(want.stats == got.stats) << "recovery stats differ";
+  EXPECT_EQ(want.offenses, got.offenses);
+  EXPECT_EQ(want.retired, got.retired);
+  EXPECT_EQ(want.attempts, got.attempts);
+}
+
+// A manager (budget 3 unless `cfg` says otherwise) attached to a
+// plane over `plan`. Each trial runs twice through exec::ThreadCtx:
+// behind the forwarding plane, so every load takes the full path, and
+// with the plane's view; both must end alike. Trials run in sequence
+// on the one manager, and Tier-2 escalation applies after each, as a
+// campaign epoch would.
+struct RecoveryRig {
+  mem::DeviceMemory& dev;
+  core::ProtectedDataPlane plane;
+  core::RecoveryManager rm;
+  std::vector<std::byte> image;  // taken after the spare pool exists
+  core::EscalationLedger ledger;
+
+  RecoveryRig(mem::DeviceMemory& d, const sim::ProtectionPlan& plan,
+              const core::RecoveryConfig& cfg = Budget3())
+      : dev(d), plane(d, plan), rm(d, cfg) {
+    image.assign(dev.space().Data(),
+                 dev.space().Data() + dev.space().StoreSize());
+    rm.SetSnapshot(image);
+    rm.AttachPlane(&plane);
+    plane.AttachRecovery(&rm);
+  }
+  RecoveryRig(const RecoveryRig&) = delete;
+  RecoveryRig& operator=(const RecoveryRig&) = delete;
+
+  static core::RecoveryConfig Budget3() {
+    core::RecoveryConfig cfg;
+    cfg.enabled = true;
+    cfg.max_retries = 3;
+    return cfg;
+  }
+
+  // Returns the full-path record.
+  RecoveryRecord Trial(
+      const std::function<Body(exec::DataPlane&)>& make_body) {
+    ForwardingPlane forwarded(plane);
+    const RecoveryRecord full =
+        RunWithRecovery(dev, plane, rm, image, make_body(forwarded));
+    {
+      SCOPED_TRACE("armed, with view");
+      ExpectSameRecovery(full, RunWithRecovery(dev, plane, rm, image,
+                                               make_body(plane)));
+    }
+    ledger.Merge(full.offenses);
+    rm.ApplyEscalations(ledger);
+    return full;
+  }
+};
+
+// An app's hot cover under detect-only, on a RecoveryRig.
+struct AppRecoveryRig {
+  std::unique_ptr<apps::App> app;
+  apps::ProtectionSetup setup;
+  RecoveryRig rig;
+
+  explicit AppRecoveryRig(const std::string& name)
+      : app(apps::MakeApp(name, apps::AppScale::kTiny)),
+        setup(apps::BuildProtection(
+            *app, apps::ResolveCover(ProfileOf(name),
+                                     sim::Scheme::kDetectOnly, std::nullopt,
+                                     {}))),
+        rig(*setup.dev, setup.plan) {}
+
+  RecoveryRecord Trial(const std::vector<mem::StuckAtFault>& faults) {
+    mem::DeviceMemory& dev = *setup.dev;
+    dev.faults().Clear();
+    for (const auto& f : faults) dev.faults().Add(f);
+    return rig.Trial([&](exec::DataPlane& p) {
+      return Body([&] {
+        apps::RunKernels(*app, p, nullptr);
+        return ObservedOutputs(*app, dev, setup.plan, p);
+      });
+    });
+  }
+};
+
+class ElideRecoveryPlane : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ElideRecoveryPlane, ArmedAttemptsMatchFullPath) {
+  const std::string& name = GetParam();
+  AppRecoveryRig rig(name);
+  const auto universe =
+      analysis::BuildExposureUniverse(ProfileOf(name).profiler);
+  core::RecoveryStats total;
+  for (const std::uint64_t seed : {1u, 7919u, 3u}) {
+    for (const FaultSet set :
+         {FaultSet::kWord5x4, FaultSet::kPrimaryAndCopies}) {
+      SCOPED_TRACE(name + " seed " + std::to_string(seed) + " " +
+                   FaultSetName(set));
+      Rng rng(seed * 131 + static_cast<std::uint64_t>(set));
+      const auto faults = MakeFaults(set, universe, rig.setup.dev->space(),
+                                     rig.setup.plan, rng);
+      total += rig.Trial(faults).stats;
+    }
+  }
+  // The trials reached every tier the view must stay exact through.
+  EXPECT_GT(rig.rig.rm.stats().escalations, 0u);
+  EXPECT_GT(total.arbitrations, 0u);
+  EXPECT_GT(total.retired_blocks, 0u);
+  EXPECT_GT(total.retries, 0u);
+}
+
+std::vector<std::string> RecoveryPlaneApps() {
+  std::vector<std::string> names = kRecoveryApps;
+  names.push_back("C-ConvRows");
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(ElideRecovery, ElideRecoveryPlane,
+                         ::testing::ValuesIn(RecoveryPlaneApps()),
+                         DirectCaseName);
+
+// Sub-block ranges, as the hot arrays of A-Laplacian (36 B), C-ConvRows
+// (68 B), A-Sobel (72 B) and the 4-byte scalars allocate them:
+// block-aligned, padded to the block's end.
+constexpr std::uint64_t kSubBlockSizes[] = {4, 36, 68, 72};
+
+// Loads every aligned word of a `size`-byte `w`, then the 8 bytes that
+// cross its end into the padding.
+Body LoadsAcrossTheEnd(exec::DataPlane& plane, std::uint64_t size) {
+  return [&plane, size] {
+    std::vector<std::uint8_t> seen;
+    const auto load = [&](Addr a, std::uint32_t n) {
+      std::uint8_t buf[8];
+      ThreadLoad(plane, /*pc=*/1, a, buf, n);
+      seen.insert(seen.end(), buf, buf + n);
+    };
+    for (Addr a = 0; a < size; a += 4) load(a, 4);
+    load(size - 4, 8);
+    return seen;
+  };
+}
+
+// A clean sub-block range leaves its tail block off the bitmap, and the
+// loads that cross its end still match the full path. Padding that
+// differs between the primary and a copy when the run starts (a stray
+// store no restore resets) keeps the tail block on the full path.
+TEST(ElideRecovery, SubBlockRangesLeaveTheirTailBlockClear) {
+  for (const std::uint64_t size : kSubBlockSizes) {
+    for (const unsigned copies : {1u, 2u}) {
+      for (const bool stale_padding : {false, true}) {
+        SCOPED_TRACE(std::to_string(size) + " B, copies " +
+                     std::to_string(copies) +
+                     (stale_padding ? ", stale padding" : ""));
+        Synthetic s(copies, false, size);
+        if (stale_padding) {
+          s.image[s.Replica(copies - 1, size + 2)] ^= std::byte{0x10};
+        }
+        std::memcpy(s.dev.space().Data(), s.image.data(), s.image.size());
+        core::ProtectedDataPlane plane(s.dev, s.plan);
+        plane.BeginRun();
+        EXPECT_EQ(ViewBit(plane.view(), 0), stale_padding);
+        const RunRecord full = ExpectElisionExact(
+            s.dev, s.plan, s.image,
+            [&](exec::DataPlane& p) { return LoadsAcrossTheEnd(p, size); });
+        EXPECT_EQ(full.detections, stale_padding && copies == 1 ? 1u : 0u);
+      }
+    }
+  }
+}
+
+// An unpropagated store just past the range's end lands in its padding:
+// a load crossing the end then compares bytes the copies never got.
+TEST(ElideRecovery, StoreIntoTailPaddingThenStraddlingLoad) {
+  const std::uint8_t value[4] = {0x11, 0x22, 0x33, 0x44};
+  for (const std::uint64_t size : kSubBlockSizes) {
+    for (const unsigned copies : {1u, 2u}) {
+      SCOPED_TRACE(std::to_string(size) + " B, copies " +
+                   std::to_string(copies));
+      Synthetic s(copies, false, size);
+      const RunRecord full = ExpectElisionExact(
+          s.dev, s.plan, s.image, [&](exec::DataPlane& p) {
+            const Body loads = LoadsAcrossTheEnd(p, size);
+            return Body([&p, loads, size, &value] {
+              p.Store(/*pc=*/2, size, value, 4);
+              return loads();
+            });
+          });
+      EXPECT_EQ(full.detections, copies == 1 ? 1u : 0u);
+      EXPECT_EQ(full.corrections, copies == 1 ? 0u : 1u);
+    }
+  }
+}
+
+// The only fault sits in a copy's padding, where only a load crossing
+// the range's end reads it; and a stray store into that padding.
+TEST(ElideRecovery, FaultOrStoreOnlyInAReplicasPadding) {
+  const std::uint8_t value[4] = {0x5a, 0x5a, 0x5a, 0x5a};
+  for (const std::uint64_t size : kSubBlockSizes) {
+    for (const bool store : {false, true}) {
+      SCOPED_TRACE(std::to_string(size) + " B, " +
+                   (store ? "store" : "fault"));
+      Synthetic s(1, false, size);
+      const Addr at = s.Replica(0, size);
+      if (!store) s.Flip(at + 1, 3);
+      const RunRecord full = ExpectElisionExact(
+          s.dev, s.plan, s.image, [&](exec::DataPlane& p) {
+            const Body loads = LoadsAcrossTheEnd(p, size);
+            return Body([&p, loads, store, at, &value] {
+              if (store) p.Store(/*pc=*/2, at, value, 4);
+              return loads();
+            });
+          });
+      EXPECT_EQ(full.detections, 1u);
+    }
+  }
+}
+
+// A vote (or an arbitration) corrects a load that crosses into a block
+// whose stuck cells the write-back cannot fix; the scrub's verify read
+// fails and the manager retires the load's first block. A propagated
+// store into that block then lands in the spare, and loads of it must
+// read the spare.
+TEST(ElideRecovery, ScrubThenLoadOfTheScrubbedBlock) {
+  const std::uint8_t value[4] = {1, 2, 3, 4};
+  for (const unsigned copies : {1u, 2u}) {
+    SCOPED_TRACE("copies " + std::to_string(copies));
+    Synthetic s(copies, true);
+    // Two stuck bits: a SECDED probe ranks the primary below its copy.
+    s.Flip(kBlockSize, 0);
+    s.Flip(kBlockSize, 1);
+    RecoveryRig rig(s.dev, s.plan);
+    const RecoveryRecord full = rig.Trial([&](exec::DataPlane& p) {
+      return Body([&p, &value] {
+        std::vector<std::uint8_t> seen;
+        std::uint8_t buf[8];
+        ThreadLoad(p, /*pc=*/1, kBlockSize - 4, buf, 8);
+        seen.insert(seen.end(), buf, buf + 8);
+        p.Store(/*pc=*/2, 8, value, 4);
+        for (Addr a = 0; a < kBlockSize; a += 4) {
+          ThreadLoad(p, /*pc=*/1, a, buf, 4);
+          seen.insert(seen.end(), buf, buf + 4);
+        }
+        return seen;
+      });
+    });
+    EXPECT_EQ(full.run.end, "completed");
+    EXPECT_GT(full.stats.scrubs, 0u);
+    ASSERT_EQ(full.retired.size(), 1u);
+    EXPECT_EQ(full.retired[0].first, 0u);
+    EXPECT_EQ(full.run.observed[8 + 8], 1);
+  }
+}
+
+// The same word flipped in the primary and, one bit over, in the copy:
+// no SECDED probe arbitrates, so the attempt ends in a detection, the
+// manager retires the primary block and re-executes; the copy still
+// mismatches, and the manager retires it too (by arbitrating its
+// scrub, or, with arbitration off, on the next failed attempt).
+TEST(ElideRecovery, UnarbitrableMismatchRetiresAndReexecutes) {
+  for (const bool arbitrate : {true, false}) {
+    SCOPED_TRACE(arbitrate ? "arbitration on" : "arbitration off");
+    Synthetic s(1, false);
+    for (const std::uint8_t bit : {1, 2}) {
+      s.Flip(40, bit);
+      s.Flip(s.Replica(0, 40), static_cast<std::uint8_t>(bit + 1));
+    }
+    core::RecoveryConfig cfg = RecoveryRig::Budget3();
+    cfg.arbitrate = arbitrate;
+    RecoveryRig rig(s.dev, s.plan, cfg);
+    const RecoveryRecord full =
+        rig.Trial([&](exec::DataPlane& p) { return LoadAll(p, 4); });
+    EXPECT_EQ(full.run.end, "completed");
+    EXPECT_EQ(full.stats.retries, arbitrate ? 1u : 2u);
+    ASSERT_EQ(full.retired.size(), 2u);
+    EXPECT_EQ(full.retired[0].first, 0u);
+    EXPECT_EQ(full.retired[1].first, BlockOf(s.Replica(0, 40)));
+  }
+}
+
+// Offenses in one trial escalate `w` to a second replica, allocated
+// past the store image; the next trial's armed run votes over three
+// copies, across the range's end too.
+TEST(ElideRecovery, EscalationBetweenTwoTrialsThenAnArmedRun) {
+  for (const std::uint64_t size : kSubBlockSizes) {
+    SCOPED_TRACE(std::to_string(size) + " B");
+    Synthetic s(1, false, size);
+    core::RecoveryConfig cfg = RecoveryRig::Budget3();
+    cfg.escalate_threshold = 1;
+    RecoveryRig rig(s.dev, s.plan, cfg);
+    const auto loads = [&](exec::DataPlane& p) {
+      return LoadsAcrossTheEnd(p, size);
+    };
+    // The copy loses the arbitration: one offense.
+    s.Flip(s.Replica(0, 0), 0);
+    s.Flip(s.Replica(0, 0), 1);
+    EXPECT_EQ(rig.Trial(loads).stats.arbitrations, 1u);
+    ASSERT_EQ(rig.plane.plan().ranges[0].copies, 2u);
+    EXPECT_EQ(rig.rm.stats().escalations, 1u);
+    s.dev.faults().Clear();
+    s.Flip(0, 5);
+    const RecoveryRecord second = rig.Trial(loads);
+    EXPECT_EQ(second.run.end, "completed");
+    EXPECT_EQ(second.run.corrections, 1u);
+  }
+}
+
+// A block retired while the run goes on (here by a failure report in
+// the middle of the run, on a clean block nothing else marks): a store
+// to it lands in the spare, and its loads must read the spare at once.
+TEST(ElideRecovery, RetirementDuringARunIsReadFromTheSpare) {
+  const std::uint8_t value[4] = {9, 8, 7, 6};
+  Synthetic s(1, false);
+  const Addr out = s.dev.space().Object(1).base;
+  RecoveryRig rig(s.dev, s.plan);
+  const RecoveryRecord full = rig.Trial([&](exec::DataPlane& p) {
+    return Body([&] {
+      std::vector<std::uint8_t> seen;
+      std::uint8_t buf[4];
+      ThreadLoad(p, /*pc=*/1, out + 8, buf, 4);
+      seen.insert(seen.end(), buf, buf + 4);
+      EXPECT_TRUE(rig.rm.OnRunFailure(out));
+      p.Store(/*pc=*/2, out + 8, value, 4);
+      ThreadLoad(p, /*pc=*/1, out + 8, buf, 4);
+      seen.insert(seen.end(), buf, buf + 4);
+      return seen;
+    });
+  });
+  ASSERT_EQ(full.retired.size(), 1u);
+  EXPECT_EQ(full.run.observed[4], 9);
+}
 
 // The direct plane's view at block edges: loads straddling into the
 // faulty block, and the end of the store.
