@@ -1,32 +1,12 @@
 #include "apps/driver.h"
 
-#include <algorithm>
 #include <stdexcept>
-#include <tuple>
 
 #include "exec/kernel_graph.h"
 #include "exec/launcher.h"
 #include "trace/trace_builder.h"
 
 namespace dcrm::apps {
-
-namespace {
-// Fans one access stream out to both the profiler and the trace
-// builder.
-class TeeSink final : public exec::AccessSink {
- public:
-  TeeSink(exec::AccessSink& a, exec::AccessSink& b) : a_(&a), b_(&b) {}
-  void OnAccess(const exec::ThreadCoord& who,
-                const exec::AccessRecord& what) override {
-    a_->OnAccess(who, what);
-    b_->OnAccess(who, what);
-  }
-
- private:
-  exec::AccessSink* a_;
-  exec::AccessSink* b_;
-};
-}  // namespace
 
 Cover ResolveCover(const ProfileResult& profile, sim::Scheme scheme,
                    std::optional<unsigned> count,
@@ -121,46 +101,33 @@ ProfileResult ProfileApp(App& app, const sim::GpuConfig& cfg,
   app.Setup(*out.dev);
   out.profiler.AttachSpace(&out.dev->space());
   exec::DirectDataPlane plane(*out.dev);
-  // Walk the app's kernel graph in its deterministic topological order
-  // (program order for chain apps), so traces carry graph node ids and
-  // the store records data edges.
+  // One functional pass over the app's kernel graph, in its
+  // deterministic topological order (program order for chain apps):
+  // the profiler counts every access and forwards it to the trace
+  // recorder, unless a store was preloaded.
   exec::KernelGraph graph = app.Graph();
   const std::vector<std::uint32_t> order = graph.TopoOrder();
   std::vector<std::uint32_t> kernel_of(graph.NumNodes(), 0);
-  std::vector<trace::KernelTrace> traces;
+  trace::TraceBuilder recorder;
+  out.profiler.AttachRecorder(preloaded == nullptr ? &recorder : nullptr);
   for (std::size_t idx = 0; idx < order.size(); ++idx) {
     const std::uint32_t id = order[idx];
     exec::GraphNode& node = graph.Node(id);
     kernel_of[id] = static_cast<std::uint32_t>(idx);
-    trace::TraceBuilder builder;
     out.profiler.BeginKernel(node.cfg);
-    // With a preloaded store the trace-building tee is skipped — the
-    // functional pass still feeds the profiler and the device state.
-    if (preloaded != nullptr) {
-      exec::LaunchKernel(node.cfg, plane, &out.profiler, node.body);
-      out.profiler.EndKernel();
-      continue;
-    }
-    TeeSink tee(out.profiler, builder);
-    exec::LaunchKernel(node.cfg, plane, &tee, node.body);
+    recorder.BeginKernel(node.cfg, node.name, id);
+    exec::LaunchKernel(node.cfg, plane, &out.profiler, node.body);
     out.profiler.EndKernel();
-    traces.push_back(builder.Build(node.cfg));
-    traces.back().name = node.name;
-    traces.back().node = id;
+    recorder.EndKernel();
   }
+  out.profiler.AttachRecorder(nullptr);
   std::vector<trace::TraceStore::TraceEdge> edges;
   for (const exec::GraphEdge& e : graph.DataEdges()) {
     edges.push_back(trace::TraceStore::TraceEdge{
         kernel_of[e.producer], kernel_of[e.consumer], e.object});
   }
-  std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.producer, a.consumer, a.object) <
-           std::tie(b.producer, b.consumer, b.object);
-  });
-  out.trace_store = preloaded != nullptr
-                        ? std::move(preloaded)
-                        : trace::BuildStore(std::move(traces),
-                                            std::move(edges));
+  out.trace_store = preloaded != nullptr ? std::move(preloaded)
+                                         : recorder.Finish(std::move(edges));
   // Miss profile from a baseline run of the cycle-level simulator:
   // with warps desynchronized by real memory latencies, hot blocks
   // miss roughly in proportion to their (huge) access counts whenever

@@ -34,12 +34,13 @@ struct ProfileResult {
   std::vector<float> golden;  // fault-free outputs
 };
 
-// Runs `app` fault-free with profiling, trace collection, the
-// functional L1-miss replay, and hot classification. When `preloaded`
-// is non-null (a store read back via trace::LoadTrace), the functional
-// re-execution still runs — the profiler and golden outputs need it —
-// but the trace-building pass is skipped and the loaded store is used
-// for the miss replay, transaction counts, and everything downstream.
+// Runs `app` fault-free once, profiling every access and recording
+// the trace in the same pass, then runs the baseline timing replay
+// (the miss profile) and hot classification. When `preloaded` is
+// non-null (a store read back via trace::LoadTrace), the functional
+// pass still runs — the profiler and golden outputs need it — but
+// records no trace; the loaded store is used for the miss replay,
+// transaction counts, and everything downstream.
 ProfileResult ProfileApp(App& app, const sim::GpuConfig& cfg,
                          const core::HotConfig& hot_cfg = {},
                          std::shared_ptr<const trace::TraceStore> preloaded =

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/tag_array.h"
+#include "trace/trace_builder.h"
 
 namespace dcrm::core {
 
@@ -32,6 +33,7 @@ void AccessProfiler::EndKernel() {
 
 void AccessProfiler::OnAccess(const exec::ThreadCoord& who,
                               const exec::AccessRecord& what) {
+  if (recorder_ != nullptr) recorder_->OnAccess(who, what);
   const std::uint64_t block = BlockOf(what.addr);
   auto& bp = blocks_[block];
   if (what.type == AccessType::kLoad) {

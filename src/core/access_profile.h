@@ -16,6 +16,10 @@
 #include "mem/address_space.h"
 #include "trace/trace_store.h"
 
+namespace dcrm::trace {
+class TraceBuilder;
+}  // namespace dcrm::trace
+
 namespace dcrm::core {
 
 struct BlockProfile {
@@ -55,6 +59,10 @@ class AccessProfiler final : public exec::AccessSink {
   // Enables PC -> data-object attribution (needs the address space to
   // resolve owners). Optional; without it only block stats are kept.
   void AttachSpace(const mem::AddressSpace* space) { space_ = space; }
+
+  // Forwards every access to `recorder` as well (nullptr detaches), so
+  // one profiling pass also records the trace.
+  void AttachRecorder(trace::TraceBuilder* recorder) { recorder_ = recorder; }
 
   void OnAccess(const exec::ThreadCoord& who,
                 const exec::AccessRecord& what) override;
@@ -100,6 +108,7 @@ class AccessProfiler final : public exec::AccessSink {
   std::uint64_t total_reads_ = 0;
   std::uint64_t total_writes_ = 0;
   const mem::AddressSpace* space_ = nullptr;
+  trace::TraceBuilder* recorder_ = nullptr;
   std::map<Pc, PcStats> pcs_;
   // Fast path for attribution: a PC almost always touches one object.
   std::unordered_map<Pc, mem::ObjectId> pc_last_owner_;

@@ -158,26 +158,35 @@ bool RecoveryManager::Scrub(Addr addr, const std::uint8_t* good,
   ++stats_.scrubs;
   dev_->WriteBytes(addr, good, size);
   if (plane_ != nullptr) plane_->NoteChanged(addr, addr + size);
-  bool clean = false;
-  try {
-    std::uint8_t check[16];
-    dev_->ReadBytes(addr, check, size);
-    clean = std::memcmp(check, good, size) == 0;
-  } catch (const mem::DueError&) {
-    clean = false;  // the verify read itself tripped ECC: stuck cells
+  // Verify each block the bytes touch on its own: only a block whose
+  // write-back did not stick is quarantined.
+  bool clean = true;
+  bool landed = true;
+  for (Addr lo = addr; lo < addr + size;) {
+    const Addr hi = std::min<Addr>(addr + size, BlockBase(lo) + kBlockSize);
+    const std::uint8_t* part = good + (lo - addr);
+    bool sticks = false;
+    try {
+      std::uint8_t check[16];
+      dev_->ReadBytes(lo, check, hi - lo);
+      sticks = std::memcmp(check, part, hi - lo) == 0;
+    } catch (const mem::DueError&) {
+      sticks = false;  // the verify read itself tripped ECC: stuck cells
+    }
+    if (!sticks) {
+      // The cells are permanently bad. The retirement copy carries the
+      // block's true stored contents, and the scrub lands in the spare.
+      clean = false;
+      if (cfg_.retire && RetireBlock(lo / kBlockSize)) {
+        dev_->WriteBytes(lo, part, hi - lo);
+      } else {
+        landed = false;
+      }
+    }
+    lo = hi;
   }
-  if (clean) {
-    ++stats_.scrub_sticks;
-    return true;
-  }
-  // The write-back did not stick: the cells are permanently bad.
-  // Quarantine the block; the retirement copy carries the block's true
-  // stored contents, and the scrub lands in the spare.
-  if (cfg_.retire && RetireBlock(addr / kBlockSize)) {
-    dev_->WriteBytes(addr, good, size);
-    return true;
-  }
-  return false;
+  if (clean) ++stats_.scrub_sticks;
+  return landed;
 }
 
 bool RecoveryManager::RetireBlock(std::uint64_t block) {

@@ -231,11 +231,11 @@ class RecoveryManager {
     std::uint64_t size = 0;
   };
 
-  // Writes `good` back to `addr`, verifies it sticks, and retires the
-  // block when it does not. Returns true if the location now reads
-  // back clean. Marks the written bytes through the plane
-  // (ProtectedDataPlane::NoteChanged), so an armed plane sends their
-  // blocks to the full path.
+  // Writes `good` back to `addr`, verifies it sticks in each block it
+  // touches, and retires each block where it does not. Returns true if
+  // the location now reads back clean. Marks the written bytes through
+  // the plane (ProtectedDataPlane::NoteChanged), so an armed plane
+  // sends their blocks to the full path.
   bool Scrub(Addr addr, const std::uint8_t* good, std::uint32_t size);
   // Remaps `block` to the next spare and marks it through the plane:
   // from then on its loads read the spare.

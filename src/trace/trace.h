@@ -1,11 +1,12 @@
-// Warp-level memory traces: the interface between the functional
-// execution layer and the cycle-level timing simulator.
+// Nested-AoS warp-level memory traces: the shape of hand-built traces
+// (tests, benches) and of the RMT baseline transform. Profiling
+// records straight into TraceStore columns (trace_builder.h), and
+// BuildStore / ToKernelTraces convert between the two shapes.
 //
 // Threads of a warp execute in lockstep, so the i-th global-memory
 // access of each lane belongs to the same warp-level memory
-// instruction. The coalescer merges the 32 lane addresses of one
-// instruction into unique 128B-block transactions, exactly the unit
-// the L1 sees.
+// instruction; coalescing merges its lane addresses into unique
+// 128B-block transactions, exactly the unit the L1 sees.
 #pragma once
 
 #include <cstdint>
@@ -47,17 +48,6 @@ struct KernelTrace {
   std::uint32_t node = kNoNode;
   exec::LaunchConfig cfg;
   std::vector<WarpTrace> warps;  // sorted by warp id
-
-  std::uint64_t TotalMemInsts() const;
-  std::uint64_t TotalTransactions() const;
-  std::uint64_t TotalStoreTransactions() const;
 };
-
-// Coalesces one ordinal's worth of lane records (same warp, same
-// lockstep step) into warp-level instructions. Lane records with
-// different PCs at the same ordinal (divergence) produce separate
-// instructions. Exposed for unit testing.
-std::vector<WarpMemInst> CoalesceStep(
-    const std::vector<exec::AccessRecord>& lane_records);
 
 }  // namespace dcrm::trace

@@ -145,8 +145,7 @@ std::shared_ptr<const TraceStore> LoadTraceFromString(
   c.inst_is_store.reserve(num_insts);
   c.inst_lanes.reserve(num_insts);
   c.inst_block_begin.reserve(num_insts + 1);
-  std::vector<Addr> pool;
-  pool.reserve(num_blocks);
+  c.blocks_packed.reserve(num_blocks);
 
   std::uint64_t warp_acc = 0;
   for (std::size_t k = 0; k < num_kernels; ++k) {
@@ -171,7 +170,6 @@ std::shared_ptr<const TraceStore> LoadTraceFromString(
   if (warp_acc != num_warps) Corrupt("kernel warp counts disagree");
 
   std::uint64_t inst_acc = 0;
-  c.warp_inst_begin.push_back(0);
   for (std::size_t w = 0; w < num_warps; ++w) {
     c.warp_id.push_back(static_cast<WarpId>(r.Varint()));
     c.warp_cta.push_back(static_cast<std::uint32_t>(r.Varint()));
@@ -182,7 +180,6 @@ std::shared_ptr<const TraceStore> LoadTraceFromString(
   if (inst_acc != num_insts) Corrupt("warp inst counts disagree");
 
   std::uint64_t block_acc = 0;
-  c.inst_block_begin.push_back(0);
   for (std::size_t i = 0; i < num_insts; ++i) {
     c.inst_pc.push_back(static_cast<Pc>(r.Varint()));
     const std::uint64_t packed = r.Varint();
@@ -198,7 +195,7 @@ std::shared_ptr<const TraceStore> LoadTraceFromString(
   for (std::size_t b = 0; b < num_blocks; ++b) {
     prev += bin::UnZigZag(r.Varint());
     if (prev < 0) Corrupt("negative block address");
-    pool.push_back(static_cast<Addr>(prev));
+    c.PushBlock(static_cast<Addr>(prev));
   }
   if (graph_meta) {
     const std::size_t num_edges = CheckedCount(r.Varint(), payload, "edge");
@@ -214,7 +211,6 @@ std::shared_ptr<const TraceStore> LoadTraceFromString(
     }
   }
   if (r.remaining() != 0) Corrupt("trailing bytes");
-  AssignBlockPool(c, std::move(pool));
 
   try {
     return TraceStore::FromColumns(std::move(c));

@@ -140,23 +140,21 @@ WarpSlice KernelView::FindWarp(WarpId id) const {
   return WarpSlice{};
 }
 
-void AssignBlockPool(TraceStore::Columns& cols, std::vector<Addr> addrs) {
+void TraceStore::Columns::PushBlock(Addr a) {
   constexpr Addr kMaxIndex = std::numeric_limits<std::uint32_t>::max();
-  const bool packable = std::all_of(
-      addrs.begin(), addrs.end(), [](Addr a) {
-        return a % kBlockSize == 0 && a / kBlockSize <= kMaxIndex;
-      });
-  cols.blocks_packed.clear();
-  cols.blocks_wide.clear();
-  if (packable) {
-    cols.blocks_packed.reserve(addrs.size());
-    for (const Addr a : addrs) {
-      cols.blocks_packed.push_back(
-          static_cast<std::uint32_t>(a / kBlockSize));
-    }
-  } else {
-    cols.blocks_wide = std::move(addrs);
+  if (blocks_wide.empty() && a % kBlockSize == 0 &&
+      a / kBlockSize <= kMaxIndex) {
+    blocks_packed.push_back(static_cast<std::uint32_t>(a / kBlockSize));
+    return;
   }
+  if (blocks_wide.empty()) {
+    blocks_wide.reserve(blocks_packed.size() + 1);
+    for (const std::uint32_t b : blocks_packed) {
+      blocks_wide.push_back(static_cast<Addr>(b) * kBlockSize);
+    }
+    blocks_packed = {};
+  }
+  blocks_wide.push_back(a);
 }
 
 std::shared_ptr<const TraceStore> BuildStore(
@@ -164,31 +162,6 @@ std::shared_ptr<const TraceStore> BuildStore(
     std::vector<TraceStore::TraceEdge> edges) {
   TraceStore::Columns cols;
   cols.edges = std::move(edges);
-  cols.kernels.reserve(kernels.size());
-  std::size_t total_warps = 0;
-  std::size_t total_insts = 0;
-  std::size_t total_blocks = 0;
-  for (const KernelTrace& kt : kernels) {
-    total_warps += kt.warps.size();
-    for (const WarpTrace& wt : kt.warps) {
-      total_insts += wt.insts.size();
-      for (const WarpMemInst& inst : wt.insts) {
-        total_blocks += inst.blocks.size();
-      }
-    }
-  }
-  cols.warp_id.reserve(total_warps);
-  cols.warp_cta.reserve(total_warps);
-  cols.warp_inst_begin.reserve(total_warps + 1);
-  cols.inst_pc.reserve(total_insts);
-  cols.inst_is_store.reserve(total_insts);
-  cols.inst_lanes.reserve(total_insts);
-  cols.inst_block_begin.reserve(total_insts + 1);
-  std::vector<Addr> pool;
-  pool.reserve(total_blocks);
-
-  cols.warp_inst_begin.push_back(0);
-  cols.inst_block_begin.push_back(0);
   for (const KernelTrace& kt : kernels) {
     TraceStore::KernelMeta meta;
     meta.name = kt.name;
@@ -205,9 +178,9 @@ std::shared_ptr<const TraceStore> BuildStore(
         cols.inst_is_store.push_back(
             inst.type == AccessType::kStore ? 1 : 0);
         cols.inst_lanes.push_back(inst.active_lanes);
-        pool.insert(pool.end(), inst.blocks.begin(), inst.blocks.end());
+        for (const Addr a : inst.blocks) cols.PushBlock(a);
         cols.inst_block_begin.push_back(
-            static_cast<std::uint32_t>(pool.size()));
+            static_cast<std::uint32_t>(cols.NumBlocks()));
       }
       cols.warp_inst_begin.push_back(
           static_cast<std::uint32_t>(cols.inst_pc.size()));
@@ -215,7 +188,6 @@ std::shared_ptr<const TraceStore> BuildStore(
     meta.warp_end = static_cast<std::uint32_t>(cols.warp_id.size());
     cols.kernels.push_back(std::move(meta));
   }
-  AssignBlockPool(cols, std::move(pool));
   return TraceStore::FromColumns(std::move(cols));
 }
 

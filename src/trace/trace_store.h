@@ -1,41 +1,42 @@
 // Columnar, immutable trace artifact shared by every trace consumer.
 //
-// The nested-AoS trace::KernelTrace (vector of WarpTrace of WarpMemInst,
-// each instruction owning its own heap vector of block addresses) is
-// what the trace *builder* produces; it is a poor shape to hand around:
-// every consumer — timing replay, static analyzer, access profiling,
-// fault campaigns — re-walks it with three pointer indirections per
-// instruction, and a parallel campaign's workers would each keep a full
-// copy alive. TraceStore flattens the same information into
-// structure-of-arrays columns:
+// Profiling records straight into these columns (trace_builder.h).
+// The nested-AoS trace::KernelTrace (trace.h) remains for hand-built
+// traces, the RMT baseline and the benches, which convert with
+// BuildStore / ToKernelTraces. It is a poor shape to hand around:
+// every consumer (timing replay, static analyzer, access profiling,
+// fault campaigns) would re-walk it with three pointer indirections
+// per instruction, and a parallel campaign's workers would each keep
+// a full copy alive. The store's structure-of-arrays columns:
 //
 //   kernels:  name, launch config, [warp_begin, warp_end) range
 //   warps:    id, cta, inst_begin prefix array (size NumWarps()+1)
 //   insts:    pc, type, active lanes, block_begin prefix array
 //   blocks:   one contiguous pool of transaction addresses, stored as
 //             32-bit block indices (address / 128) whenever every
-//             address is 128B-aligned — the coalescer guarantees that,
-//             so builder output always packs; BlockSpan decodes back
+//             address is 128B-aligned — coalescing guarantees that,
+//             so recorded traces always pack; BlockSpan decodes back
 //             to Addr on the fly
 //
-// A store is built once (BuildStore / trace_io::LoadTrace), is
-// immutable afterwards, and is passed around as
-// std::shared_ptr<const TraceStore> — parallel campaign workers all
+// A store is built once (TraceBuilder, BuildStore or
+// trace_io::LoadTrace), is immutable afterwards, and is passed around
+// as std::shared_ptr<const TraceStore> — parallel campaign workers all
 // read the same bytes, which is safe precisely because nothing can
 // write them (the determinism contract of fault/parallel_campaign.h
 // needs every worker to see identical traces; sharing one immutable
 // object makes that true by construction instead of by copy).
 //
-// Iteration order is the legacy order exactly — kernels in launch
-// order, warps in the builder's sorted-by-id order, instructions and
-// blocks in recorded order — so replay schedules, analyzer findings
-// and campaign statistics are bit-identical to the AoS representation.
+// Iteration order is recorded order — kernels in launch order, warps
+// in ascending id order, instructions and blocks in lockstep order —
+// so replay schedules, analyzer findings and campaign statistics are
+// identical whichever way a store was made.
 //
 // Consumers iterate through the zero-allocation cursor API
 // (KernelView -> WarpSlice -> InstView); no per-step heap traffic, and
 // an instruction's blocks come back as a span into the shared pool.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -167,8 +168,8 @@ class KernelView {
   std::uint32_t NumWarps() const;
   WarpSlice Warp(std::uint32_t i) const;  // i-th traced warp
   // Warp with the given grid-global id; empty slice if the warp never
-  // touched memory. Binary search when the builder's sorted order
-  // holds, linear otherwise (hand-built stores).
+  // touched memory. Binary search when warp ids ascend (every
+  // recorded trace), linear otherwise (hand-built stores).
   WarpSlice FindWarp(WarpId id) const;
 
   std::uint64_t TotalMemInsts() const;
@@ -215,7 +216,8 @@ class TraceStore {
     std::uint32_t consumer = 0;
     std::string object;
 
-    friend bool operator==(const TraceEdge&, const TraceEdge&) = default;
+    // Ordered by (producer, consumer, object), the order stores keep.
+    friend auto operator<=>(const TraceEdge&, const TraceEdge&) = default;
   };
 
   // The raw columns. The only way to make a store is to hand a filled
@@ -223,22 +225,22 @@ class TraceStore {
   // and computes the cached totals; there are no mutators afterwards.
   struct Columns {
     std::vector<KernelMeta> kernels;
-    // Per-warp columns (size NumWarps(); inst_begin has one extra
-    // sentinel entry so warp w's instructions are
+    // Per-warp columns (size NumWarps(); inst_begin starts with a
+    // sentinel 0 so warp w's instructions are
     // [inst_begin[w], inst_begin[w+1])).
     std::vector<WarpId> warp_id;
     std::vector<std::uint32_t> warp_cta;
-    std::vector<std::uint32_t> warp_inst_begin;
+    std::vector<std::uint32_t> warp_inst_begin = {0};
     // Per-instruction columns (block_begin carries the same sentinel).
     std::vector<Pc> inst_pc;
     std::vector<std::uint8_t> inst_is_store;
     std::vector<std::uint32_t> inst_lanes;
-    std::vector<std::uint32_t> inst_block_begin;
+    std::vector<std::uint32_t> inst_block_begin = {0};
     // One contiguous transaction-address pool. At most one of the two
     // vectors is non-empty: packed 32-bit block indices when every
     // address is 128B-aligned and its index fits 32 bits (true for all
-    // builder output), raw 64-bit addresses otherwise. Fill through
-    // AssignBlockPool; read through NumBlocks()/BlockAt().
+    // recorded traces), raw 64-bit addresses otherwise. Fill through
+    // PushBlock; read through NumBlocks()/BlockAt().
     std::vector<std::uint32_t> blocks_packed;
     std::vector<Addr> blocks_wide;
     // Producer → consumer data edges, sorted (producer, consumer,
@@ -254,6 +256,9 @@ class TraceStore {
                  ? blocks_wide[i]
                  : static_cast<Addr>(blocks_packed[i]) * kBlockSize;
     }
+    // Appends one address to the pool: packed while every address so
+    // far packs, all of them raw from the first one that does not.
+    void PushBlock(Addr a);
 
     friend bool operator==(const Columns&, const Columns&) = default;
   };
@@ -313,12 +318,7 @@ class TraceStore {
   std::uint64_t total_store_txns_ = 0;
 };
 
-// Installs `addrs` as the columns' block pool, packing into 32-bit
-// block indices when every address is 128B-aligned and in 32-bit index
-// range, and falling back to raw 64-bit storage otherwise.
-void AssignBlockPool(TraceStore::Columns& cols, std::vector<Addr> addrs);
-
-// Flattens builder/hand-built kernel traces into a store, preserving
+// Flattens hand-built kernel traces into a store, preserving
 // kernel, warp, instruction and block order exactly. A trace with
 // node == kNoNode gets its kernel index as node_id. `edges` carries
 // the graph's data edges (kernel indices), if any.
@@ -329,9 +329,9 @@ std::shared_ptr<const TraceStore> BuildStore(
     const std::vector<KernelTrace>& kernels,
     std::vector<TraceStore::TraceEdge> edges = {});
 
-// Reconstructs the legacy AoS representation (round-trip inverse of
-// BuildStore); used by the RMT baseline transform and equivalence
-// tests.
+// Reconstructs the AoS representation (round-trip inverse of
+// BuildStore); used by the RMT baseline transform, the benches and
+// equivalence tests.
 std::vector<KernelTrace> ToKernelTraces(const TraceStore& store);
 
 // In-memory bytes of the legacy AoS representation (struct sizes plus

@@ -4,6 +4,7 @@
 
 #include "apps/driver.h"
 #include "apps/registry.h"
+#include "trace/trace_io.h"
 
 namespace dcrm::apps {
 namespace {
@@ -109,6 +110,70 @@ TEST(Driver, HotObjectsAreReadOnlyAndSmall) {
       EXPECT_TRUE(op.read_only) << name << "/" << op.name;
     }
     EXPECT_LE(profile.hot.hot_footprint, 0.25) << name;
+  }
+}
+
+void ExpectSameObjects(const std::vector<core::ObjectProfile>& a,
+                       const std::vector<core::ObjectProfile>& b,
+                       const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name) << context;
+    EXPECT_EQ(a[i].reads, b[i].reads) << context;
+    EXPECT_EQ(a[i].txns, b[i].txns) << context;
+    EXPECT_EQ(a[i].l1_misses, b[i].l1_misses) << context;
+    EXPECT_EQ(a[i].kernels_reading, b[i].kernels_reading) << context;
+  }
+}
+
+// A preloaded store (read back from its serialized bytes) records no
+// trace: the profile built on it must equal the one that recorded it.
+TEST(Driver, PreloadedStoreProfilesIdentically) {
+  for (const auto& name : AllAppNames()) {
+    auto app = MakeApp(name, AppScale::kTiny);
+    const auto fresh = ProfileApp(*app, Cfg());
+    const auto loaded = ProfileApp(
+        *app, Cfg(), {},
+        trace::LoadTraceFromString(trace::SaveTraceToString(
+            *fresh.trace_store)));
+    EXPECT_TRUE(*loaded.trace_store == *fresh.trace_store) << name;
+
+    const auto& fb = fresh.profiler.blocks();
+    const auto& lb = loaded.profiler.blocks();
+    ASSERT_EQ(fb.size(), lb.size()) << name;
+    for (const auto& [block, f] : fb) {
+      const auto it = lb.find(block);
+      ASSERT_NE(it, lb.end()) << name << " block " << block;
+      const core::BlockProfile& l = it->second;
+      EXPECT_EQ(f.reads, l.reads) << name << " block " << block;
+      EXPECT_EQ(f.writes, l.writes) << name << " block " << block;
+      EXPECT_EQ(f.txns, l.txns) << name << " block " << block;
+      EXPECT_EQ(f.warp_share, l.warp_share) << name << " block " << block;
+      EXPECT_EQ(f.l1_misses, l.l1_misses) << name << " block " << block;
+    }
+
+    const auto& fp = fresh.profiler.pc_stats();
+    const auto& lp = loaded.profiler.pc_stats();
+    ASSERT_EQ(fp.size(), lp.size()) << name;
+    for (const auto& [pc, f] : fp) {
+      const auto it = lp.find(pc);
+      ASSERT_NE(it, lp.end()) << name << " pc " << pc;
+      EXPECT_EQ(f.accesses, it->second.accesses) << name << " pc " << pc;
+      EXPECT_EQ(f.per_object, it->second.per_object) << name << " pc " << pc;
+    }
+
+    EXPECT_EQ(fresh.hot.has_hot_pattern, loaded.hot.has_hot_pattern) << name;
+    EXPECT_EQ(fresh.hot.max_median_ratio, loaded.hot.max_median_ratio)
+        << name;
+    EXPECT_EQ(fresh.hot.hot_footprint, loaded.hot.hot_footprint) << name;
+    EXPECT_EQ(fresh.hot.hot_access_share, loaded.hot.hot_access_share)
+        << name;
+    ExpectSameObjects(fresh.hot.hot_objects, loaded.hot.hot_objects, name);
+    ExpectSameObjects(fresh.hot.coverage_order, loaded.hot.coverage_order,
+                      name);
+    EXPECT_EQ(fresh.golden, loaded.golden) << name;
+    EXPECT_EQ(fresh.timing_baseline.cycles, loaded.timing_baseline.cycles)
+        << name;
   }
 }
 

@@ -1465,10 +1465,10 @@ TEST(ElideRecovery, FaultOrStoreOnlyInAReplicasPadding) {
 }
 
 // A vote (or an arbitration) corrects a load that crosses into a block
-// whose stuck cells the write-back cannot fix; the scrub's verify read
-// fails and the manager retires the load's first block. A propagated
-// store into that block then lands in the spare, and loads of it must
-// read the spare.
+// whose stuck cells the write-back cannot fix; that block's verify read
+// fails and the manager retires it (block 1, not the load's first
+// block). A propagated store into that block then lands in the spare,
+// and loads of it must read the spare.
 TEST(ElideRecovery, ScrubThenLoadOfTheScrubbedBlock) {
   const std::uint8_t value[4] = {1, 2, 3, 4};
   for (const unsigned copies : {1u, 2u}) {
@@ -1484,8 +1484,8 @@ TEST(ElideRecovery, ScrubThenLoadOfTheScrubbedBlock) {
         std::uint8_t buf[8];
         ThreadLoad(p, /*pc=*/1, kBlockSize - 4, buf, 8);
         seen.insert(seen.end(), buf, buf + 8);
-        p.Store(/*pc=*/2, 8, value, 4);
-        for (Addr a = 0; a < kBlockSize; a += 4) {
+        p.Store(/*pc=*/2, kBlockSize + 8, value, 4);
+        for (Addr a = kBlockSize; a < 2 * kBlockSize; a += 4) {
           ThreadLoad(p, /*pc=*/1, a, buf, 4);
           seen.insert(seen.end(), buf, buf + 4);
         }
@@ -1495,7 +1495,7 @@ TEST(ElideRecovery, ScrubThenLoadOfTheScrubbedBlock) {
     EXPECT_EQ(full.run.end, "completed");
     EXPECT_GT(full.stats.scrubs, 0u);
     ASSERT_EQ(full.retired.size(), 1u);
-    EXPECT_EQ(full.retired[0].first, 0u);
+    EXPECT_EQ(full.retired[0].first, 1u);
     EXPECT_EQ(full.run.observed[8 + 8], 1);
   }
 }

@@ -14,7 +14,7 @@
 #include "mem/device_memory.h"
 #include "mem/secded.h"
 #include "sim/tag_array.h"
-#include "trace/trace.h"
+#include "trace/trace_builder.h"
 
 namespace dcrm {
 namespace {
@@ -192,7 +192,18 @@ TEST(CoalescerProperty, InvariantsOverRandomPatterns) {
       step.push_back({static_cast<Pc>(1 + rng.Below(2)),
                       rng.Below(1 << 20) * 4, 4, AccessType::kLoad});
     }
-    const auto insts = trace::CoalesceStep(step);
+    // Record the step as lanes 0.. of warp 0 and read the coalesced
+    // instructions back.
+    trace::TraceBuilder recorder;
+    recorder.BeginKernel(exec::LaunchConfig{{1, 1, 1}, {kWarpSize, 1, 1}});
+    for (unsigned l = 0; l < lanes; ++l) {
+      exec::ThreadCoord who;
+      who.lane = static_cast<std::uint8_t>(l);
+      recorder.OnAccess(who, step[l]);
+    }
+    recorder.EndKernel();
+    const auto insts =
+        trace::ToKernelTraces(*recorder.Finish())[0].warps[0].insts;
     unsigned total_lanes = 0;
     std::size_t total_blocks = 0;
     for (const auto& m : insts) {

@@ -3,6 +3,7 @@
 #include "apps/driver.h"
 #include "apps/registry.h"
 #include "core/recovery.h"
+#include "exec/data_plane.h"
 #include "fault/campaign.h"
 
 namespace dcrm::fault {
@@ -207,6 +208,40 @@ TEST(ChargeRecoveryTest, ZeroRunsYieldZeroOverhead) {
   const auto c = core::ChargeRecovery({}, 0, 0, sim::GpuConfig{});
   EXPECT_DOUBLE_EQ(c.total_cycles, 0.0);
   EXPECT_DOUBLE_EQ(c.per_run_overhead, 0.0);
+}
+
+// An 8-byte scrub at 124 straddles blocks 0 and 1; only block 1 holds
+// stuck cells, so only block 1 is retired, and its loads read the
+// written value from the spare.
+TEST(RecoveryScrub, StraddlingScrubRetiresOnlyTheStuckBlock) {
+  mem::DeviceMemory dev;
+  ASSERT_EQ(dev.space().Object(dev.space().Allocate("w", 2 * kBlockSize,
+                                                    false)).base,
+            0u);
+  core::RecoveryConfig cfg;
+  cfg.enabled = true;
+  core::RecoveryManager rm(dev, cfg);
+  // Byte 128 reads bit 0 as 1; the good value there has it clear.
+  dev.faults().Add({.byte_addr = 128, .bit = 0, .stuck_value = true});
+  const std::uint8_t good[8] = {1, 2, 3, 4, 6, 6, 7, 8};
+  rm.OnVoteCorrected(124, good, 8, /*escalated_range=*/false);
+
+  EXPECT_EQ(rm.stats().scrubs, 1u);
+  EXPECT_EQ(rm.stats().scrub_sticks, 0u);
+  EXPECT_EQ(rm.stats().retired_blocks, 1u);
+  EXPECT_EQ(rm.spare_blocks_used(), 1u);
+  EXPECT_FALSE(dev.retired().Contains(0));
+  EXPECT_TRUE(dev.retired().Contains(1));
+
+  exec::DirectDataPlane plane(dev);
+  std::uint8_t at128[4];
+  plane.Load(/*pc=*/1, 128, at128, 4);
+  EXPECT_EQ(std::vector<std::uint8_t>(at128, at128 + 4),
+            std::vector<std::uint8_t>(good + 4, good + 8));
+  std::uint8_t across[8];
+  plane.Load(/*pc=*/1, 124, across, 8);
+  EXPECT_EQ(std::vector<std::uint8_t>(across, across + 8),
+            std::vector<std::uint8_t>(good, good + 8));
 }
 
 }  // namespace

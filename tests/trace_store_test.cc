@@ -1,58 +1,56 @@
-// TraceStore tests: builder equivalence against the legacy AoS traces
-// on all ten applications, cursor iteration order, FindWarp semantics,
-// cached totals, binary serialization round trips, malformed-file
-// rejection, and the columnar footprint win.
+// TraceStore tests: the profiling recorder's store against its AoS
+// form on all fifteen applications, cursor iteration order, FindWarp
+// semantics, cached totals, binary serialization round trips,
+// malformed-file rejection, and the columnar footprint win.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <vector>
 
-#include "apps/app.h"
+#include "apps/driver.h"
 #include "apps/registry.h"
 #include "common/file_util.h"
-#include "exec/launcher.h"
-#include "trace/trace_builder.h"
 #include "trace/trace_io.h"
 #include "trace/trace_store.h"
 
 namespace dcrm {
 namespace {
 
-// The legacy collection loop ProfileApp used before the store existed:
-// one TraceBuilder per kernel over a fresh functional execution, in the
-// graph's topological order.
-std::vector<trace::KernelTrace> CollectLegacy(apps::App& app) {
-  mem::DeviceMemory dev;
-  app.Setup(dev);
-  exec::DirectDataPlane plane(dev);
-  exec::KernelGraph graph = app.Graph();
-  std::vector<trace::KernelTrace> out;
-  for (const std::uint32_t id : graph.TopoOrder()) {
-    const exec::GraphNode& k = graph.Node(id);
-    trace::TraceBuilder builder;
-    exec::LaunchKernel(k.cfg, plane, &builder, k.body);
-    out.push_back(builder.Build(k.cfg));
-    out.back().name = k.name;
-  }
-  return out;
+// The store the profiling driver records for `name` at tiny scale.
+std::shared_ptr<const trace::TraceStore> Recorded(const std::string& name) {
+  auto app = apps::MakeApp(name, apps::AppScale::kTiny);
+  return apps::ProfileApp(*app, sim::GpuConfig{}).trace_store;
 }
 
 // Field-by-field equality of a store against the legacy traces it was
-// built from — the walk mirrors how every consumer iterates.
+// built from — the walk mirrors how every consumer iterates — and of
+// its cached per-kernel and whole-store totals against counts taken
+// from the legacy traces.
 void ExpectEquivalent(const trace::TraceStore& store,
                       const std::vector<trace::KernelTrace>& legacy,
                       const std::string& context) {
   ASSERT_EQ(store.NumKernels(), legacy.size()) << context;
+  std::uint64_t all_insts = 0, all_txns = 0, all_stores = 0;
   for (std::uint32_t k = 0; k < store.NumKernels(); ++k) {
     const trace::KernelView kv = store.Kernel(k);
     const trace::KernelTrace& kt = legacy[k];
     EXPECT_EQ(kv.name(), kt.name) << context;
     EXPECT_EQ(kv.cfg().grid, kt.cfg.grid) << context;
     EXPECT_EQ(kv.cfg().block, kt.cfg.block) << context;
-    EXPECT_EQ(kv.TotalMemInsts(), kt.TotalMemInsts()) << context;
-    EXPECT_EQ(kv.TotalTransactions(), kt.TotalTransactions()) << context;
-    EXPECT_EQ(kv.TotalStoreTransactions(), kt.TotalStoreTransactions())
-        << context;
+    std::uint64_t insts = 0, txns = 0, stores = 0;
+    for (const trace::WarpTrace& wt : kt.warps) {
+      insts += wt.insts.size();
+      for (const trace::WarpMemInst& inst : wt.insts) {
+        txns += inst.blocks.size();
+        if (inst.type == AccessType::kStore) stores += inst.blocks.size();
+      }
+    }
+    EXPECT_EQ(kv.TotalMemInsts(), insts) << context;
+    EXPECT_EQ(kv.TotalTransactions(), txns) << context;
+    EXPECT_EQ(kv.TotalStoreTransactions(), stores) << context;
+    all_insts += insts;
+    all_txns += txns;
+    all_stores += stores;
     ASSERT_EQ(kv.NumWarps(), kt.warps.size()) << context;
     for (std::uint32_t w = 0; w < kv.NumWarps(); ++w) {
       const trace::WarpSlice ws = kv.Warp(w);
@@ -73,6 +71,9 @@ void ExpectEquivalent(const trace::TraceStore& store,
       }
     }
   }
+  EXPECT_EQ(store.TotalMemInsts(), all_insts) << context;
+  EXPECT_EQ(store.TotalTransactions(), all_txns) << context;
+  EXPECT_EQ(store.TotalStoreTransactions(), all_stores) << context;
 }
 
 trace::WarpTrace MakeWarp(WarpId warp, std::uint32_t cta,
@@ -86,21 +87,12 @@ trace::WarpTrace MakeWarp(WarpId warp, std::uint32_t cta,
 
 TEST(TraceStoreBuild, EquivalentToLegacyOnAllApps) {
   for (const auto& name : apps::AllAppNames()) {
-    auto app = apps::MakeApp(name, apps::AppScale::kTiny);
-    const auto legacy = CollectLegacy(*app);
-    const auto store = trace::BuildStore(legacy);
+    const auto recorded = Recorded(name);
+    const auto legacy = trace::ToKernelTraces(*recorded);
+    const auto store = trace::BuildStore(legacy, recorded->columns().edges);
     ExpectEquivalent(*store, legacy, name);
-
-    // Whole-store totals match the summed legacy totals.
-    std::uint64_t insts = 0, txns = 0, stores = 0;
-    for (const auto& kt : legacy) {
-      insts += kt.TotalMemInsts();
-      txns += kt.TotalTransactions();
-      stores += kt.TotalStoreTransactions();
-    }
-    EXPECT_EQ(store->TotalMemInsts(), insts) << name;
-    EXPECT_EQ(store->TotalTransactions(), txns) << name;
-    EXPECT_EQ(store->TotalStoreTransactions(), stores) << name;
+    // Flattening the AoS form reproduces the recorder's columns.
+    EXPECT_TRUE(*store == *recorded) << name;
 
     // ToKernelTraces is the exact inverse of BuildStore.
     const auto round = trace::ToKernelTraces(*store);
@@ -176,8 +168,7 @@ TEST(TraceStoreCursor, FindWarpSortedAndUnsorted) {
 }
 
 TEST(TraceStoreIo, RoundTripIsIdentical) {
-  auto app = apps::MakeApp("P-BICG", apps::AppScale::kTiny);
-  const auto store = trace::BuildStore(CollectLegacy(*app));
+  const auto store = Recorded("P-BICG");
 
   const std::string bytes = trace::SaveTraceToString(*store);
   const auto loaded = trace::LoadTraceFromString(bytes);
@@ -211,8 +202,7 @@ TEST(TraceStoreIo, EmptyAndHandBuiltStoresRoundTrip) {
 }
 
 TEST(TraceStoreIo, RejectsMalformedFiles) {
-  auto app = apps::MakeApp("P-MVT", apps::AppScale::kTiny);
-  const auto store = trace::BuildStore(CollectLegacy(*app));
+  const auto store = Recorded("P-MVT");
   const std::string good = trace::SaveTraceToString(*store);
 
   // Bad magic.
@@ -249,8 +239,7 @@ TEST(TraceStoreIo, RejectsMalformedFiles) {
 // never partially loaded. (Historically only a handful of hand-picked
 // prefixes were checked.)
 TEST(TraceStoreIo, RejectsTruncationAtEveryKibibyteBoundary) {
-  auto app = apps::MakeApp("P-MVT", apps::AppScale::kTiny);
-  const auto store = trace::BuildStore(CollectLegacy(*app));
+  const auto store = Recorded("P-MVT");
   const std::string good = trace::SaveTraceToString(*store);
   ASSERT_GT(good.size(), 4096u)
       << "trace too small to exercise multiple 1KiB cuts";
@@ -268,8 +257,7 @@ TEST(TraceStoreIo, RejectsTruncationAtEveryKibibyteBoundary) {
 // is exact, no temp sibling survives, and a file that *was* torn on
 // disk is rejected by the loader.
 TEST(TraceStoreIo, FileSaveIsAtomicAndTornFilesAreRejected) {
-  auto app = apps::MakeApp("P-BICG", apps::AppScale::kTiny);
-  const auto store = trace::BuildStore(CollectLegacy(*app));
+  const auto store = Recorded("P-BICG");
   const std::string dir = ::testing::TempDir() + "dcrm_trace_atomic";
   EnsureDir(dir);
   const std::string path = dir + "/trace.bin";
@@ -294,9 +282,8 @@ TEST(TraceStoreFootprint, ColumnarHalvesTheLegacyBytes) {
   // Streaming apps coalesce nearly every load into one transaction, so
   // the legacy 40-byte WarpMemInst + heap vector per instruction is
   // dominated by overhead the columns do not pay.
-  auto app = apps::MakeApp("P-BICG", apps::AppScale::kTiny);
-  const auto legacy = CollectLegacy(*app);
-  const auto store = trace::BuildStore(legacy);
+  const auto store = Recorded("P-BICG");
+  const auto legacy = trace::ToKernelTraces(*store);
   const std::uint64_t aos = trace::LegacyFootprintBytes(legacy);
   EXPECT_GE(aos, 2 * store->FootprintBytes())
       << "AoS " << aos << "B vs columnar " << store->FootprintBytes() << "B";
