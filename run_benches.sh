@@ -22,7 +22,7 @@ run $B/bench_tradeoff_summary --runs=50
 run $B/bench_ablation_lazy --scale=small
 run $B/bench_ablation_secded --runs=60
 run $B/bench_ablation_placement --scale=small
-run $B/bench_baseline_rmt --scale=small
+run_tee results_baseline_rmt.txt $B/bench_baseline_rmt
 run $B/bench_baseline_checkpoint --scale=small
 run $B/bench_ext_fault_shapes --runs=50
 run $B/bench_ext_online_detection
