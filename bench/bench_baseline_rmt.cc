@@ -45,19 +45,13 @@ int main(int argc, char** argv) {
             apps::RunTiming(*app, profile, cfg, prot.plan).cycles) /
         base_cycles;
 
-    // The RMT transform mutates warps, so round-trip the immutable
-    // store back to the legacy AoS form, duplicate, and replay.
-    std::vector<trace::KernelTrace> rmt;
-    const auto kernels = trace::ToKernelTraces(*profile.trace_store);
-    rmt.reserve(kernels.size());
-    for (const auto& k : kernels) {
-      rmt.push_back(core::MakeRmtTrace(k));
-    }
     sim::GpuConfig rmt_cfg = cfg;
     rmt_cfg.alu_cycles_per_mem = app->AluCyclesPerMem();
-    sim::Gpu gpu(rmt_cfg, {});
     const double rmt_time =
-        static_cast<double>(gpu.Run(rmt).cycles) / base_cycles;
+        static_cast<double>(sim::Gpu(rmt_cfg, {})
+                                .Run(*core::MakeRmtTrace(*profile.trace_store))
+                                .cycles) /
+        base_cycles;
 
     t.NewRow()
         .Add(name)

@@ -212,17 +212,13 @@ int main(int argc, char** argv) {
     // Warp-RMT: duplicate every warp and replay (cannot even observe
     // the memory faults studied here — both copies read the same
     // faulty DRAM).
-    std::vector<trace::KernelTrace> rmt;
-    const auto kernels = trace::ToKernelTraces(*profile.trace_store);
-    rmt.reserve(kernels.size());
-    for (const auto& k : kernels) {
-      rmt.push_back(core::MakeRmtTrace(k));
-    }
     sim::GpuConfig rmt_cfg = cfg;
     rmt_cfg.alu_cycles_per_mem = app->AluCyclesPerMem();
-    sim::Gpu gpu(rmt_cfg, {});
     const double rmt_time =
-        static_cast<double>(gpu.Run(rmt).cycles) / base_cycles;
+        static_cast<double>(sim::Gpu(rmt_cfg, {})
+                                .Run(*core::MakeRmtTrace(*profile.trace_store))
+                                .cycles) /
+        base_cycles;
 
     const double ckpt_cost = core::RecoveryModel::CheckpointCost(
         profile.dev->space().TotalObjectBytes(), kPcieBytesPerCycle,

@@ -2,11 +2,11 @@
 // what the event-driven engine buys on top of it.
 //
 // Four measurements:
-//   1. trace memory footprint (paper apps) — the legacy nested-AoS
-//      KernelTrace representation (reconstructed via ToKernelTraces
-//      and measured with LegacyFootprintBytes) vs the columnar
-//      TraceStore, plus the serialized --save-trace size for
-//      reference. Acceptance bar: >= 2x reduction in-memory.
+//   1. trace memory footprint (paper apps) — the same trace as nested
+//      arrays of structs (LegacyFootprintBytes, a closed form over the
+//      store's counts) vs the columnar TraceStore, plus the serialized
+//      --save-trace size for reference. Acceptance bar: >= 2x
+//      reduction in-memory.
 //   2. replay throughput (hot-pattern apps) — transactions/second
 //      through the timing model under the cycle-stepped reference
 //      engine vs the event-driven engine, at the seed geometry and at
@@ -150,13 +150,11 @@ int main(int argc, char** argv) {
     const auto profile = apps::ProfileApp(*app, cfg);
     const trace::TraceStore& store = *profile.trace_store;
 
-    // 1. Footprint (paper-app subset). The AoS form is the round-trip
-    // reconstruction of the very same trace, so the comparison is
-    // content-identical.
+    // 1. Footprint (paper-app subset). The AoS bytes are counted from
+    // the very same trace, so the comparison is content-identical.
     if (std::find(paper.begin(), paper.end(), name) != paper.end()) {
-      const auto legacy = trace::ToKernelTraces(store);
       const double aos =
-          static_cast<double>(trace::LegacyFootprintBytes(legacy));
+          static_cast<double>(trace::LegacyFootprintBytes(store));
       const double col = static_cast<double>(store.FootprintBytes());
       const double ratio = aos / col;
       if (worst_ratio == 0 || ratio < worst_ratio) worst_ratio = ratio;

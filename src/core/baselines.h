@@ -16,15 +16,21 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
-#include "trace/trace.h"
+#include "trace/trace_store.h"
 
 namespace dcrm::core {
 
-// Duplicates every warp of the trace inside its CTA: the shadow warp
-// replays the loads and drops the stores. CTA warp counts double, so
-// per-SM occupancy halves — the real cost of warp-level RMT.
-trace::KernelTrace MakeRmtTrace(const trace::KernelTrace& in);
+// Duplicates every warp of every kernel inside its CTA: the shadow
+// warp replays the loads and drops the stores. CTA warp counts double
+// (the output CTA is 2 * wpc_in full warps, one-dimensional), so
+// per-SM occupancy halves — the real cost of warp-level RMT. Within
+// each CTA the lead warps come first (cta*wpc_out + w) and the shadows
+// follow them (cta*wpc_out + wpc_in + w), so warp ids still ascend.
+// Kernel names, graph node ids and data edges carry over unchanged.
+std::shared_ptr<const trace::TraceStore> MakeRmtTrace(
+    const trace::TraceStore& in);
 
 // Expected-completion-time models for recovery strategies, all in
 // units of one fault-free execution (T = 1).

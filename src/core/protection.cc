@@ -15,6 +15,14 @@ Addr PaddedEnd(const sim::ProtectedRange& r) {
   return (r.base + r.size + kBlockSize - 1) / kBlockSize * kBlockSize;
 }
 
+// The bytes of [addr, addr + size) that lie inside `r`'s padded extent,
+// the only ones its copies hold. `addr` lies in `r`.
+std::uint32_t CoveredBytes(const sim::ProtectedRange& r, Addr addr,
+                           std::uint32_t size) {
+  return static_cast<std::uint32_t>(
+      std::min<Addr>(size, PaddedEnd(r) - addr));
+}
+
 }  // namespace
 
 void ProtectedDataPlane::Load(Pc pc, Addr addr, void* out,
@@ -33,6 +41,9 @@ void ProtectedDataPlane::Load(Pc pc, Addr addr, void* out,
   if (size > exec::kMaxFastLoad) {
     throw std::invalid_argument("protected load wider than 16 bytes");
   }
+  // Only the bytes up to the range's padded end have copies; a load
+  // that runs past it compares and votes those alone.
+  size = CoveredBytes(*range, addr, size);
   dev_->ReadBytes(range->ReplicaAddr(0, addr), copy0, size);
   if (copies == 1) {
     if (std::memcmp(bytes, copy0, size) != 0) {
@@ -83,8 +94,9 @@ void ProtectedDataPlane::Store(Pc pc, Addr addr, const void* in,
   if (range != nullptr) {
     // Writable-object extension: keep every copy coherent so later
     // votes/compares see the new value, not a stale one.
+    const std::uint32_t covered = CoveredBytes(*range, addr, size);
     for (unsigned c = 0; c < plan_.CopiesFor(*range); ++c) {
-      dev_->WriteBytes(range->ReplicaAddr(c, addr), in, size);
+      dev_->WriteBytes(range->ReplicaAddr(c, addr), in, covered);
     }
   }
   if (view_.blocks != 0) NoteStore(addr, size, range);
@@ -196,13 +208,9 @@ void ProtectedDataPlane::NoteStore(Addr addr, std::uint32_t size,
     return;
   }
   if (end > propagated->base + propagated->size) {
-    // Propagated past the range's end: the bytes beyond it reached only
-    // the primary or land beside the replicas.
+    // Propagated past the range's end: the copies got the bytes up to
+    // its padded end, the bytes beyond it reached only the primary.
     MarkBlocks(addr, end);
-    for (unsigned c = 0; c < plan_.CopiesFor(*propagated); ++c) {
-      const Addr r = propagated->ReplicaAddr(c, addr);
-      MarkCopiesOf(r, r + size);
-    }
   }
 }
 

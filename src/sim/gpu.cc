@@ -39,11 +39,6 @@ GpuStats Gpu::Run(const trace::TraceStore& store, std::uint64_t max_cycles) {
   return stats;
 }
 
-GpuStats Gpu::Run(const std::vector<trace::KernelTrace>& kernels,
-                  std::uint64_t max_cycles) {
-  return Run(*trace::BuildStore(kernels), max_cycles);
-}
-
 bool Gpu::AnyBusy() const {
   if (!icnt_.Idle()) return true;
   for (const auto& sm : sms_) {

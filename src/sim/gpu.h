@@ -37,11 +37,6 @@ class Gpu {
   GpuStats Run(const trace::TraceStore& store,
                std::uint64_t max_cycles = 2'000'000'000ULL);
 
-  // Convenience for hand-built traces (tests): flattens into a store
-  // first. Replay order is identical either way.
-  GpuStats Run(const std::vector<trace::KernelTrace>& kernels,
-               std::uint64_t max_cycles = 2'000'000'000ULL);
-
   const ProtectionPlan& plan() const { return plan_; }
 
   // Per-component statistics from the last Run (index = SM id /

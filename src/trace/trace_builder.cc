@@ -93,7 +93,7 @@ void TraceBuilder::CoalesceStep(std::size_t step) {
     cols_.inst_lanes.push_back(active);
     for (std::uint32_t b = 0; b < num_blocks; ++b) cols_.PushBlock(blocks[b]);
     cols_.inst_block_begin.push_back(
-        static_cast<std::uint32_t>(cols_.NumBlocks()));
+        static_cast<std::uint32_t>(cols_.blocks.size()));
   }
 }
 

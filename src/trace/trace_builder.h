@@ -1,6 +1,12 @@
 // Streaming trace recorder: an AccessSink that coalesces each warp's
 // per-lane access streams into warp-level memory instructions and
-// appends them straight into TraceStore columns.
+// appends them straight into TraceStore columns, the one trace
+// representation (trace_store.h).
+//
+// Threads of a warp execute in lockstep, so the i-th global-memory
+// access of each lane belongs to the same warp-level memory
+// instruction; coalescing merges its lane addresses into unique
+// 128B-block transactions, exactly the unit the L1 sees.
 //
 // exec::LaunchKernel runs a warp's lanes one after another and visits
 // warps in ascending id order, so only the current warp's 32 lane
@@ -16,10 +22,13 @@
 #include <string>
 #include <vector>
 
-#include "trace/trace.h"
 #include "trace/trace_store.h"
 
 namespace dcrm::trace {
+
+// Node id meaning "none assigned": the kernel gets its index, which is
+// what every chain app's launches get.
+inline constexpr std::uint32_t kNoNode = 0xffffffffu;
 
 class TraceBuilder final : public exec::AccessSink {
  public:

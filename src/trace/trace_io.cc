@@ -52,14 +52,14 @@ std::string SaveTraceToString(const TraceStore& store) {
   using bin::PutVarint;
   const TraceStore::Columns& c = store.columns();
   std::string out;
-  out.reserve(64 + c.inst_pc.size() * 3 + c.NumBlocks() * 2);
+  out.reserve(64 + c.inst_pc.size() * 3 + c.blocks.size() * 2);
   const bool graph_meta = HasGraphMeta(c);
   out.append(kMagic, sizeof(kMagic));
   bin::PutU32(out, graph_meta ? kVersionGraph : kVersion);
   PutVarint(out, c.kernels.size());
   PutVarint(out, c.warp_id.size());
   PutVarint(out, c.inst_pc.size());
-  PutVarint(out, c.NumBlocks());
+  PutVarint(out, c.blocks.size());
   for (const TraceStore::KernelMeta& m : c.kernels) {
     PutVarint(out, m.name.size());
     out.append(m.name);
@@ -83,12 +83,11 @@ std::string SaveTraceToString(const TraceStore& store) {
                        (c.inst_is_store[i] != 0 ? 1 : 0));
     PutVarint(out, c.inst_block_begin[i + 1] - c.inst_block_begin[i]);
   }
-  // The on-disk form carries raw addresses (decoded from the packed
-  // pool if need be), so the format is independent of the in-memory
-  // packing decision.
+  // The on-disk form carries raw address deltas, not block indices,
+  // so the format is independent of the in-memory encoding.
   Addr prev = 0;
-  for (std::size_t b = 0; b < c.NumBlocks(); ++b) {
-    const Addr addr = c.BlockAt(b);
+  for (const std::uint32_t index : c.blocks) {
+    const Addr addr = static_cast<Addr>(index) * kBlockSize;
     PutVarint(out, bin::ZigZag(static_cast<std::int64_t>(addr) -
                                static_cast<std::int64_t>(prev)));
     prev = addr;
@@ -145,7 +144,7 @@ std::shared_ptr<const TraceStore> LoadTraceFromString(
   c.inst_is_store.reserve(num_insts);
   c.inst_lanes.reserve(num_insts);
   c.inst_block_begin.reserve(num_insts + 1);
-  c.blocks_packed.reserve(num_blocks);
+  c.blocks.reserve(num_blocks);
 
   std::uint64_t warp_acc = 0;
   for (std::size_t k = 0; k < num_kernels; ++k) {
@@ -195,7 +194,11 @@ std::shared_ptr<const TraceStore> LoadTraceFromString(
   for (std::size_t b = 0; b < num_blocks; ++b) {
     prev += bin::UnZigZag(r.Varint());
     if (prev < 0) Corrupt("negative block address");
-    c.PushBlock(static_cast<Addr>(prev));
+    try {
+      c.PushBlock(static_cast<Addr>(prev));
+    } catch (const std::invalid_argument& e) {
+      Corrupt(e.what());  // an unaligned or out-of-range address
+    }
   }
   if (graph_meta) {
     const std::size_t num_edges = CheckedCount(r.Varint(), payload, "edge");

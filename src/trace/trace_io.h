@@ -16,9 +16,10 @@
 //               bytes instead of 8
 //   u64 FNV-1a checksum over everything above
 //
-// LoadTrace rejects bad magic, unknown versions, truncation and
-// checksum mismatches with std::runtime_error; a loaded store is
-// validated by TraceStore::FromColumns like any other.
+// LoadTrace rejects bad magic, unknown versions, truncation, checksum
+// mismatches and block addresses that are not 128B-aligned 32-bit
+// block indices with std::runtime_error; a loaded store is validated
+// by TraceStore::FromColumns like any other.
 #pragma once
 
 #include <cstdint>

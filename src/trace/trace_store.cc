@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
+#include <string>
 #include <stdexcept>
 
 namespace dcrm::trace {
@@ -39,10 +39,6 @@ TraceStore::TraceStore(Columns cols) : cols_(std::move(cols)) {
     const KernelMeta& m = cols_.kernels[k];
     KernelTotals& t = kernel_totals_[k];
     for (std::uint32_t w = m.warp_begin; w < m.warp_end; ++w) {
-      if (w > m.warp_begin &&
-          cols_.warp_id[w] <= cols_.warp_id[w - 1]) {
-        t.warps_sorted = false;
-      }
       const std::uint32_t i0 = cols_.warp_inst_begin[w];
       const std::uint32_t i1 = cols_.warp_inst_begin[w + 1];
       t.mem_insts += i1 - i0;
@@ -62,10 +58,7 @@ TraceStore::TraceStore(Columns cols) : cols_(std::move(cols)) {
 std::shared_ptr<const TraceStore> TraceStore::FromColumns(Columns cols) {
   const std::size_t warps = cols.warp_id.size();
   const std::size_t insts = cols.inst_pc.size();
-  if (!cols.blocks_packed.empty() && !cols.blocks_wide.empty()) {
-    Malformed("both packed and wide block pools are populated");
-  }
-  const std::size_t blocks = cols.NumBlocks();
+  const std::size_t blocks = cols.blocks.size();
   constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
   if (warps >= kMax || insts >= kMax || blocks >= kMax) {
     Malformed("column exceeds 32-bit index range");
@@ -77,11 +70,18 @@ std::shared_ptr<const TraceStore> TraceStore::FromColumns(Columns cols) {
   CheckPrefix(cols.warp_inst_begin, warps, insts, "warp_inst_begin");
   CheckPrefix(cols.inst_block_begin, insts, blocks, "inst_block_begin");
   // Kernel warp ranges must tile [0, warps) in order: consumers rely
-  // on kernel k's warps being exactly its contiguous slice.
+  // on kernel k's warps being exactly its contiguous slice, found by
+  // binary search over its ascending ids.
   std::uint32_t expect = 0;
   for (const KernelMeta& m : cols.kernels) {
-    if (m.warp_begin != expect || m.warp_end < m.warp_begin) {
+    if (m.warp_begin != expect || m.warp_end < m.warp_begin ||
+        m.warp_end > warps) {
       Malformed("kernel warp ranges do not tile the warp column");
+    }
+    for (std::uint32_t w = m.warp_begin + 1; w < m.warp_end; ++w) {
+      if (cols.warp_id[w] <= cols.warp_id[w - 1]) {
+        Malformed("warp ids do not strictly ascend within a kernel");
+      }
     }
     expect = m.warp_end;
   }
@@ -111,8 +111,7 @@ std::uint64_t TraceStore::FootprintBytes() const {
   bytes += cols_.inst_is_store.size() * sizeof(std::uint8_t);
   bytes += cols_.inst_lanes.size() * sizeof(std::uint32_t);
   bytes += cols_.inst_block_begin.size() * sizeof(std::uint32_t);
-  bytes += cols_.blocks_packed.size() * sizeof(std::uint32_t);
-  bytes += cols_.blocks_wide.size() * sizeof(Addr);
+  bytes += cols_.blocks.size() * sizeof(std::uint32_t);
   for (const TraceEdge& e : cols_.edges) {
     bytes += sizeof(TraceEdge) + e.object.size();
   }
@@ -122,127 +121,35 @@ std::uint64_t TraceStore::FootprintBytes() const {
 WarpSlice KernelView::FindWarp(WarpId id) const {
   const TraceStore::Columns& c = store_->cols_;
   const TraceStore::KernelMeta& m = c.kernels[index_];
-  const auto begin = c.warp_id.begin() + m.warp_begin;
   const auto end = c.warp_id.begin() + m.warp_end;
-  if (store_->kernel_totals_[index_].warps_sorted) {
-    const auto it = std::lower_bound(begin, end, id);
-    if (it != end && *it == id) {
-      return WarpSlice(store_,
-                       static_cast<std::uint32_t>(it - c.warp_id.begin()));
-    }
-  } else {
-    const auto it = std::find(begin, end, id);
-    if (it != end) {
-      return WarpSlice(store_,
-                       static_cast<std::uint32_t>(it - c.warp_id.begin()));
-    }
-  }
-  return WarpSlice{};
+  const auto it = std::lower_bound(c.warp_id.begin() + m.warp_begin, end, id);
+  if (it == end || *it != id) return WarpSlice{};
+  return WarpSlice(store_, static_cast<std::uint32_t>(it - c.warp_id.begin()));
 }
 
 void TraceStore::Columns::PushBlock(Addr a) {
-  constexpr Addr kMaxIndex = std::numeric_limits<std::uint32_t>::max();
-  if (blocks_wide.empty() && a % kBlockSize == 0 &&
-      a / kBlockSize <= kMaxIndex) {
-    blocks_packed.push_back(static_cast<std::uint32_t>(a / kBlockSize));
-    return;
+  if (a % kBlockSize != 0 ||
+      a / kBlockSize > std::numeric_limits<std::uint32_t>::max()) {
+    Malformed("block address " + std::to_string(a) +
+              " is not a 128B-aligned 32-bit block index");
   }
-  if (blocks_wide.empty()) {
-    blocks_wide.reserve(blocks_packed.size() + 1);
-    for (const std::uint32_t b : blocks_packed) {
-      blocks_wide.push_back(static_cast<Addr>(b) * kBlockSize);
-    }
-    blocks_packed = {};
-  }
-  blocks_wide.push_back(a);
+  blocks.push_back(static_cast<std::uint32_t>(a / kBlockSize));
 }
 
-std::shared_ptr<const TraceStore> BuildStore(
-    std::span<const KernelTrace> kernels,
-    std::vector<TraceStore::TraceEdge> edges) {
-  TraceStore::Columns cols;
-  cols.edges = std::move(edges);
-  for (const KernelTrace& kt : kernels) {
-    TraceStore::KernelMeta meta;
-    meta.name = kt.name;
-    meta.cfg = kt.cfg;
-    meta.node_id = kt.node == kNoNode
-                       ? static_cast<std::uint32_t>(cols.kernels.size())
-                       : kt.node;
-    meta.warp_begin = static_cast<std::uint32_t>(cols.warp_id.size());
-    for (const WarpTrace& wt : kt.warps) {
-      cols.warp_id.push_back(wt.warp);
-      cols.warp_cta.push_back(wt.cta);
-      for (const WarpMemInst& inst : wt.insts) {
-        cols.inst_pc.push_back(inst.pc);
-        cols.inst_is_store.push_back(
-            inst.type == AccessType::kStore ? 1 : 0);
-        cols.inst_lanes.push_back(inst.active_lanes);
-        for (const Addr a : inst.blocks) cols.PushBlock(a);
-        cols.inst_block_begin.push_back(
-            static_cast<std::uint32_t>(cols.NumBlocks()));
-      }
-      cols.warp_inst_begin.push_back(
-          static_cast<std::uint32_t>(cols.inst_pc.size()));
-    }
-    meta.warp_end = static_cast<std::uint32_t>(cols.warp_id.size());
-    cols.kernels.push_back(std::move(meta));
-  }
-  return TraceStore::FromColumns(std::move(cols));
-}
-
-std::shared_ptr<const TraceStore> BuildStore(
-    const std::vector<KernelTrace>& kernels,
-    std::vector<TraceStore::TraceEdge> edges) {
-  return BuildStore(std::span<const KernelTrace>(kernels),
-                    std::move(edges));
-}
-
-std::vector<KernelTrace> ToKernelTraces(const TraceStore& store) {
-  std::vector<KernelTrace> out;
-  out.reserve(store.NumKernels());
-  for (std::uint32_t k = 0; k < store.NumKernels(); ++k) {
-    const KernelView kv = store.Kernel(k);
-    KernelTrace kt;
-    kt.name = kv.name();
-    kt.node = store.columns().kernels[k].node_id;
-    kt.cfg = kv.cfg();
-    kt.warps.reserve(kv.NumWarps());
-    for (std::uint32_t w = 0; w < kv.NumWarps(); ++w) {
-      const WarpSlice ws = kv.Warp(w);
-      WarpTrace wt;
-      wt.warp = ws.warp();
-      wt.cta = ws.cta();
-      wt.insts.reserve(ws.NumInsts());
-      for (std::uint32_t i = 0; i < ws.NumInsts(); ++i) {
-        const InstView iv = ws.Inst(i);
-        WarpMemInst inst;
-        inst.pc = iv.pc;
-        inst.type = iv.type;
-        inst.active_lanes = iv.active_lanes;
-        inst.blocks.assign(iv.blocks.begin(), iv.blocks.end());
-        wt.insts.push_back(std::move(inst));
-      }
-      kt.warps.push_back(std::move(wt));
-    }
-    out.push_back(std::move(kt));
-  }
-  return out;
-}
-
-std::uint64_t LegacyFootprintBytes(std::span<const KernelTrace> kernels) {
+std::uint64_t LegacyFootprintBytes(const TraceStore& store) {
+  // sizeof of {name string, node id, launch config, warp vector},
+  // {warp id, cta, instruction vector} and {pc, type, active lanes,
+  // block vector} under gcc on x86-64.
+  constexpr std::uint64_t kKernelBytes = 88;
+  constexpr std::uint64_t kWarpBytes = 32;
+  constexpr std::uint64_t kInstBytes = 40;
   std::uint64_t bytes = 0;
-  for (const KernelTrace& kt : kernels) {
-    bytes += sizeof(KernelTrace) + kt.name.size();
-    bytes += kt.warps.size() * sizeof(WarpTrace);
-    for (const WarpTrace& wt : kt.warps) {
-      bytes += wt.insts.size() * sizeof(WarpMemInst);
-      for (const WarpMemInst& inst : wt.insts) {
-        bytes += inst.blocks.size() * sizeof(Addr);
-      }
-    }
+  for (const TraceStore::KernelMeta& m : store.columns().kernels) {
+    bytes += kKernelBytes + m.name.size();
   }
-  return bytes;
+  return bytes + kWarpBytes * store.NumWarps() +
+         kInstBytes * store.NumInsts() +
+         sizeof(Addr) * std::uint64_t{store.NumBlockAddrs()};
 }
 
 std::string KernelStatsLabel(const TraceStore& store, std::uint32_t kernel) {

@@ -1,24 +1,22 @@
-// Columnar, immutable trace artifact shared by every trace consumer.
+// Columnar, immutable trace artifact shared by every trace consumer —
+// the repository's one trace representation.
 //
-// Profiling records straight into these columns (trace_builder.h).
-// The nested-AoS trace::KernelTrace (trace.h) remains for hand-built
-// traces, the RMT baseline and the benches, which convert with
-// BuildStore / ToKernelTraces. It is a poor shape to hand around:
-// every consumer (timing replay, static analyzer, access profiling,
-// fault campaigns) would re-walk it with three pointer indirections
-// per instruction, and a parallel campaign's workers would each keep
-// a full copy alive. The store's structure-of-arrays columns:
+// Profiling records straight into these columns (trace_builder.h);
+// the RMT baseline (core/baselines.h) and hand-built test traces fill
+// the same Columns and freeze them with FromColumns. Every consumer
+// (timing replay, static analyzer, access profiling, fault campaigns)
+// walks the structure-of-arrays columns:
 //
 //   kernels:  name, launch config, [warp_begin, warp_end) range
-//   warps:    id, cta, inst_begin prefix array (size NumWarps()+1)
+//   warps:    id, cta, inst_begin prefix array (size NumWarps()+1);
+//             ids strictly ascend within a kernel
 //   insts:    pc, type, active lanes, block_begin prefix array
-//   blocks:   one contiguous pool of transaction addresses, stored as
-//             32-bit block indices (address / 128) whenever every
-//             address is 128B-aligned — coalescing guarantees that,
-//             so recorded traces always pack; BlockSpan decodes back
-//             to Addr on the fly
+//   blocks:   one contiguous pool of 32-bit block indices
+//             (address / 128); coalescing emits only 128B-aligned
+//             transactions, and BlockSpan decodes back to Addr on the
+//             fly
 //
-// A store is built once (TraceBuilder, BuildStore or
+// A store is built once (TraceBuilder, FromColumns or
 // trace_io::LoadTrace), is immutable afterwards, and is passed around
 // as std::shared_ptr<const TraceStore> — parallel campaign workers all
 // read the same bytes, which is safe precisely because nothing can
@@ -40,25 +38,20 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "exec/kernel.h"
-#include "trace/trace.h"
 
 namespace dcrm::trace {
 
 class TraceStore;
 class KernelView;
 
-// Read-only view over one instruction's slice of the block pool.
-// The pool stores 32-bit block indices (address / 128) whenever every
-// address is 128B-aligned — the coalescer's invariant, so effectively
-// always — halving the dominant column; unaligned hand-built traces
-// fall back to raw 64-bit addresses. The view decodes on the fly, so
-// consumers still iterate plain Addr values.
+// Read-only view over one instruction's slice of the block pool. The
+// pool holds 32-bit block indices (address / 128); the view decodes
+// them on the fly, so consumers iterate plain Addr values.
 class BlockSpan {
  public:
   class iterator {
@@ -70,32 +63,25 @@ class BlockSpan {
     using reference = Addr;
 
     iterator() = default;
-    Addr operator*() const {
-      return packed_ != nullptr
-                 ? static_cast<Addr>(packed_[i_]) * kBlockSize
-                 : wide_[i_];
-    }
+    Addr operator*() const { return static_cast<Addr>(*p_) * kBlockSize; }
     iterator& operator++() {
-      ++i_;
+      ++p_;
       return *this;
     }
     iterator operator++(int) {
       iterator t = *this;
-      ++i_;
+      ++p_;
       return t;
     }
     friend bool operator==(const iterator& a, const iterator& b) {
-      return a.i_ == b.i_;
+      return a.p_ == b.p_;
     }
 
    private:
     friend class BlockSpan;
-    iterator(const std::uint32_t* packed, const Addr* wide, std::size_t i)
-        : packed_(packed), wide_(wide), i_(i) {}
+    explicit iterator(const std::uint32_t* p) : p_(p) {}
 
-    const std::uint32_t* packed_ = nullptr;
-    const Addr* wide_ = nullptr;
-    std::size_t i_ = 0;
+    const std::uint32_t* p_ = nullptr;
   };
 
   BlockSpan() = default;
@@ -103,20 +89,18 @@ class BlockSpan {
   std::size_t size() const { return n_; }
   bool empty() const { return n_ == 0; }
   Addr operator[](std::size_t i) const {
-    return packed_ != nullptr ? static_cast<Addr>(packed_[i]) * kBlockSize
-                              : wide_[i];
+    return static_cast<Addr>(index_[i]) * kBlockSize;
   }
   Addr front() const { return (*this)[0]; }
-  iterator begin() const { return iterator(packed_, wide_, 0); }
-  iterator end() const { return iterator(packed_, wide_, n_); }
+  iterator begin() const { return iterator(index_); }
+  iterator end() const { return iterator(index_ + n_); }
 
  private:
   friend class WarpSlice;
-  BlockSpan(const std::uint32_t* packed, const Addr* wide, std::size_t n)
-      : packed_(packed), wide_(wide), n_(n) {}
+  BlockSpan(const std::uint32_t* index, std::size_t n)
+      : index_(index), n_(n) {}
 
-  const std::uint32_t* packed_ = nullptr;
-  const Addr* wide_ = nullptr;
+  const std::uint32_t* index_ = nullptr;
   std::size_t n_ = 0;
 };
 
@@ -133,7 +117,7 @@ struct InstView {
 // Cursor over one warp's instruction range. Default-constructed, it is
 // a warp with no memory instructions — the timing simulator uses that
 // for warp slots the trace never recorded (they occupy occupancy but
-// issue nothing), replacing the old side-allocated empty WarpTraces.
+// issue nothing).
 class WarpSlice {
  public:
   WarpSlice() = default;
@@ -167,9 +151,8 @@ class KernelView {
 
   std::uint32_t NumWarps() const;
   WarpSlice Warp(std::uint32_t i) const;  // i-th traced warp
-  // Warp with the given grid-global id; empty slice if the warp never
-  // touched memory. Binary search when warp ids ascend (every
-  // recorded trace), linear otherwise (hand-built stores).
+  // Warp with the given grid-global id (binary search over the
+  // ascending ids); empty slice if the warp never touched memory.
   WarpSlice FindWarp(WarpId id) const;
 
   std::uint64_t TotalMemInsts() const;
@@ -195,8 +178,8 @@ class TraceStore {
     std::uint32_t warp_begin = 0;
     std::uint32_t warp_end = 0;
     // Kernel-graph node id of this launch. Equal to the kernel's index
-    // for chain apps and hand-built traces; may
-    // differ when a DAG's topological order departs from node ids.
+    // for chain apps and hand-built traces; may differ when a DAG's
+    // topological order departs from node ids.
     std::uint32_t node_id = 0;
 
     friend bool operator==(const KernelMeta& a, const KernelMeta& b) {
@@ -227,7 +210,8 @@ class TraceStore {
     std::vector<KernelMeta> kernels;
     // Per-warp columns (size NumWarps(); inst_begin starts with a
     // sentinel 0 so warp w's instructions are
-    // [inst_begin[w], inst_begin[w+1])).
+    // [inst_begin[w], inst_begin[w+1])). Ids strictly ascend within
+    // each kernel.
     std::vector<WarpId> warp_id;
     std::vector<std::uint32_t> warp_cta;
     std::vector<std::uint32_t> warp_inst_begin = {0};
@@ -236,28 +220,16 @@ class TraceStore {
     std::vector<std::uint8_t> inst_is_store;
     std::vector<std::uint32_t> inst_lanes;
     std::vector<std::uint32_t> inst_block_begin = {0};
-    // One contiguous transaction-address pool. At most one of the two
-    // vectors is non-empty: packed 32-bit block indices when every
-    // address is 128B-aligned and its index fits 32 bits (true for all
-    // recorded traces), raw 64-bit addresses otherwise. Fill through
-    // PushBlock; read through NumBlocks()/BlockAt().
-    std::vector<std::uint32_t> blocks_packed;
-    std::vector<Addr> blocks_wide;
+    // One contiguous transaction pool of block indices (address /
+    // 128). Fill through PushBlock.
+    std::vector<std::uint32_t> blocks;
     // Producer → consumer data edges, sorted (producer, consumer,
     // object). Empty for chain apps and hand-built traces.
     std::vector<TraceEdge> edges;
 
-    std::size_t NumBlocks() const {
-      return blocks_packed.empty() ? blocks_wide.size()
-                                   : blocks_packed.size();
-    }
-    Addr BlockAt(std::size_t i) const {
-      return blocks_packed.empty()
-                 ? blocks_wide[i]
-                 : static_cast<Addr>(blocks_packed[i]) * kBlockSize;
-    }
-    // Appends one address to the pool: packed while every address so
-    // far packs, all of them raw from the first one that does not.
+    // Appends one transaction address to the pool. Throws
+    // std::invalid_argument when `a` is not 128B-aligned or its block
+    // index does not fit 32 bits.
     void PushBlock(Addr a);
 
     friend bool operator==(const Columns&, const Columns&) = default;
@@ -265,7 +237,8 @@ class TraceStore {
 
   // Validates and freezes the columns. Throws std::invalid_argument on
   // any cross-column inconsistency (ragged prefix arrays, kernel warp
-  // ranges that do not tile the warp columns, counts past 2^32-1).
+  // ranges that do not tile the warp columns, warp ids that do not
+  // strictly ascend within a kernel, counts past 2^32-1).
   static std::shared_ptr<const TraceStore> FromColumns(Columns cols);
 
   std::uint32_t NumKernels() const {
@@ -280,7 +253,7 @@ class TraceStore {
     return static_cast<std::uint32_t>(cols_.inst_pc.size());
   }
   std::uint32_t NumBlockAddrs() const {
-    return static_cast<std::uint32_t>(cols_.NumBlocks());
+    return static_cast<std::uint32_t>(cols_.blocks.size());
   }
 
   // Whole-store totals, cached at build time.
@@ -289,7 +262,7 @@ class TraceStore {
   std::uint64_t TotalStoreTransactions() const { return total_store_txns_; }
 
   // Bytes of the columnar payload (arrays + kernel metadata). The
-  // apples-to-apples legacy number is LegacyFootprintBytes below.
+  // apples-to-apples nested-AoS number is LegacyFootprintBytes below.
   std::uint64_t FootprintBytes() const;
 
   const Columns& columns() const { return cols_; }
@@ -306,7 +279,6 @@ class TraceStore {
     std::uint64_t mem_insts = 0;
     std::uint64_t transactions = 0;
     std::uint64_t store_transactions = 0;
-    bool warps_sorted = true;  // enables binary-search FindWarp
   };
 
   explicit TraceStore(Columns cols);
@@ -318,26 +290,14 @@ class TraceStore {
   std::uint64_t total_store_txns_ = 0;
 };
 
-// Flattens hand-built kernel traces into a store, preserving
-// kernel, warp, instruction and block order exactly. A trace with
-// node == kNoNode gets its kernel index as node_id. `edges` carries
-// the graph's data edges (kernel indices), if any.
-std::shared_ptr<const TraceStore> BuildStore(
-    std::span<const KernelTrace> kernels,
-    std::vector<TraceStore::TraceEdge> edges = {});
-std::shared_ptr<const TraceStore> BuildStore(
-    const std::vector<KernelTrace>& kernels,
-    std::vector<TraceStore::TraceEdge> edges = {});
-
-// Reconstructs the AoS representation (round-trip inverse of
-// BuildStore); used by the RMT baseline transform, the benches and
-// equivalence tests.
-std::vector<KernelTrace> ToKernelTraces(const TraceStore& store);
-
-// In-memory bytes of the legacy AoS representation (struct sizes plus
-// owned heap buffers, counted at size, not capacity — a conservative
-// lower bound that ignores per-vector allocator overhead).
-std::uint64_t LegacyFootprintBytes(std::span<const KernelTrace> kernels);
+// In-memory bytes the same trace would take as nested arrays of
+// structs (one struct per kernel, warp and instruction, each owning a
+// vector of its children; a kernel also owns its name): 88 B plus the
+// name per kernel, 32 B per warp, 40 B per instruction and 8 B per
+// block address — the gcc x86-64 struct sizes of that layout, counted
+// at size, not capacity, so a lower bound that ignores allocator
+// overhead. The trace-replay bench sets FootprintBytes against it.
+std::uint64_t LegacyFootprintBytes(const TraceStore& store);
 
 // Per-kernel statistics from the cached totals — the one shared helper
 // behind `dcrm analyze` (text + CSV) and campaign result reporting.
@@ -380,9 +340,7 @@ inline InstView WarpSlice::Inst(std::uint32_t i) const {
   v.active_lanes = c.inst_lanes[idx];
   const std::uint32_t b0 = c.inst_block_begin[idx];
   const std::uint32_t b1 = c.inst_block_begin[idx + 1];
-  v.blocks = c.blocks_packed.empty()
-                 ? BlockSpan(nullptr, c.blocks_wide.data() + b0, b1 - b0)
-                 : BlockSpan(c.blocks_packed.data() + b0, nullptr, b1 - b0);
+  v.blocks = BlockSpan(c.blocks.data() + b0, b1 - b0);
   return v;
 }
 

@@ -13,6 +13,7 @@
 #include "apps/registry.h"
 #include "core/replication.h"
 #include "fault/campaign.h"
+#include "hand_trace.h"
 
 namespace dcrm {
 namespace {
@@ -34,12 +35,11 @@ std::uint64_t CountFindings(const analysis::Report& r, Check c, Severity s) {
   return CountFindings(r.findings, c, s);
 }
 
-// Hand-built warp trace: one warp-level instruction touching `block`.
-trace::WarpTrace MakeWarp(WarpId warp, Pc pc, AccessType type, Addr block) {
-  trace::WarpTrace wt;
-  wt.warp = warp;
-  wt.insts.push_back({pc, type, kWarpSize, {BlockBase(block)}});
-  return wt;
+using test::HandTrace;
+
+// Hand-built warp: one full-warp instruction touching `block`.
+void AddWarp(HandTrace& t, WarpId warp, Pc pc, AccessType type, Addr block) {
+  t.Warp(warp).Inst(pc, type, kWarpSize, {BlockBase(block)});
 }
 
 // ---------------------------------------------------------------------
@@ -131,15 +131,13 @@ TEST(AnalyzeApps, WritableCoverWithoutPropagationViolates) {
 TEST(AnalyzeRaces, DeliberateInterWarpRaceIsFlagged) {
   mem::DeviceMemory dev;
   dev.space().Allocate("shared", 4 * kBlockSize, false);
-  trace::KernelTrace kt;
-  kt.name = "racy_kernel";
-  kt.warps.push_back(MakeWarp(0, 1, AccessType::kStore, 0));
-  kt.warps.push_back(MakeWarp(1, 2, AccessType::kLoad, 0));
-  const std::vector<trace::KernelTrace> traces{kt};
+  HandTrace t;
+  t.Kernel({}, "racy_kernel");
+  AddWarp(t, 0, 1, AccessType::kStore, 0);
+  AddWarp(t, 1, 2, AccessType::kLoad, 0);
   const sim::ProtectionPlan none;
   const auto findings =
-      analysis::CheckInterWarpRaces(*trace::BuildStore(traces), dev.space(),
-                                    none);
+      analysis::CheckInterWarpRaces(*t.Build(), dev.space(), none);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].check, Check::kInterWarpRace);
   EXPECT_EQ(findings[0].severity, Severity::kInfo);  // unprotected data
@@ -155,20 +153,19 @@ TEST(AnalyzeRaces, RaceOnProtectedBlockIsViolation) {
   sim::ProtectionPlan plan;
   plan.scheme = sim::Scheme::kDetectOnly;
   plan.ranges.push_back({0, kBlockSize, {replica, 0}, 0});
-  trace::KernelTrace kt;
-  kt.warps.push_back(MakeWarp(0, 1, AccessType::kStore, 0));
-  kt.warps.push_back(MakeWarp(1, 2, AccessType::kLoad, 0));
-  const std::vector<trace::KernelTrace> traces{kt};
+  HandTrace t;
+  t.Kernel();
+  AddWarp(t, 0, 1, AccessType::kStore, 0);
+  AddWarp(t, 1, 2, AccessType::kLoad, 0);
+  const auto traces = t.Build();
   const auto findings =
-      analysis::CheckInterWarpRaces(*trace::BuildStore(traces), dev.space(),
-                                    plan);
+      analysis::CheckInterWarpRaces(*traces, dev.space(), plan);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].severity, Severity::kViolation);
   // The store-propagation extension downgrades it to a warning.
   plan.propagate_stores = true;
   const auto mitigated =
-      analysis::CheckInterWarpRaces(*trace::BuildStore(traces), dev.space(),
-                                    plan);
+      analysis::CheckInterWarpRaces(*traces, dev.space(), plan);
   ASSERT_EQ(mitigated.size(), 1u);
   EXPECT_EQ(mitigated[0].severity, Severity::kWarning);
 }
@@ -178,39 +175,39 @@ TEST(AnalyzeRaces, SameWarpAndCrossKernelSharingAreNotRaces) {
   dev.space().Allocate("a", 4 * kBlockSize, false);
   const sim::ProtectionPlan none;
   // Same warp writes then reads its own block: program order holds.
-  trace::KernelTrace same;
-  same.warps.push_back(MakeWarp(0, 1, AccessType::kStore, 0));
-  same.warps[0].insts.push_back({2, AccessType::kLoad, kWarpSize, {0}});
-  EXPECT_TRUE(analysis::CheckInterWarpRaces(*trace::BuildStore({same}),
-                                            dev.space(), none)
-                  .empty());
+  HandTrace same;
+  same.Kernel();
+  AddWarp(same, 0, 1, AccessType::kStore, 0);
+  same.Load(2, {0});
+  EXPECT_TRUE(
+      analysis::CheckInterWarpRaces(*same.Build(), dev.space(), none).empty());
   // Writer and reader separated by a kernel boundary: ordered.
-  trace::KernelTrace k1;
-  k1.warps.push_back(MakeWarp(0, 1, AccessType::kStore, 0));
-  trace::KernelTrace k2;
-  k2.warps.push_back(MakeWarp(1, 2, AccessType::kLoad, 0));
-  EXPECT_TRUE(analysis::CheckInterWarpRaces(*trace::BuildStore({k1, k2}),
-                                            dev.space(), none)
-                  .empty());
+  HandTrace k1k2;
+  k1k2.Kernel();
+  AddWarp(k1k2, 0, 1, AccessType::kStore, 0);
+  k1k2.Kernel();
+  AddWarp(k1k2, 1, 2, AccessType::kLoad, 0);
+  EXPECT_TRUE(
+      analysis::CheckInterWarpRaces(*k1k2.Build(), dev.space(), none).empty());
   // Two warps reading the same block: sharing, not a race.
-  trace::KernelTrace rr;
-  rr.warps.push_back(MakeWarp(0, 1, AccessType::kLoad, 0));
-  rr.warps.push_back(MakeWarp(1, 1, AccessType::kLoad, 0));
-  EXPECT_TRUE(analysis::CheckInterWarpRaces(*trace::BuildStore({rr}),
-                                            dev.space(), none)
-                  .empty());
+  HandTrace rr;
+  rr.Kernel();
+  AddWarp(rr, 0, 1, AccessType::kLoad, 0);
+  AddWarp(rr, 1, 1, AccessType::kLoad, 0);
+  EXPECT_TRUE(
+      analysis::CheckInterWarpRaces(*rr.Build(), dev.space(), none).empty());
 }
 
 TEST(AnalyzeRaces, WriteWriteSharingAcrossWarpsIsFlagged) {
   mem::DeviceMemory dev;
   dev.space().Allocate("out", kBlockSize, false);
-  trace::KernelTrace kt;
-  kt.warps.push_back(MakeWarp(0, 1, AccessType::kStore, 0));
-  kt.warps.push_back(MakeWarp(3, 1, AccessType::kStore, 0));
+  HandTrace t;
+  t.Kernel();
+  AddWarp(t, 0, 1, AccessType::kStore, 0);
+  AddWarp(t, 3, 1, AccessType::kStore, 0);
   const sim::ProtectionPlan none;
   const auto findings =
-      analysis::CheckInterWarpRaces(*trace::BuildStore({kt}), dev.space(),
-                                    none);
+      analysis::CheckInterWarpRaces(*t.Build(), dev.space(), none);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].count, 1u);
 }
@@ -302,7 +299,7 @@ TEST(AnalyzeCapacity, TableOverflowsAreFlagged) {
     const Addr rep = dev.space().AllocateRaw(kBlockSize);
     plan.ranges.push_back({obj.base, obj.size_bytes, {rep, 0}, 0});
   }
-  const auto no_traces = trace::BuildStore(std::vector<trace::KernelTrace>{});
+  const auto no_traces = HandTrace().Build();
   auto findings =
       analysis::LintCapacity(*no_traces, dev.space(), plan, cfg);
   EXPECT_EQ(CountFindings(findings, Check::kCapacity, Severity::kViolation),
@@ -324,15 +321,11 @@ TEST(AnalyzeCapacity, PoorCoalescingIsInformational) {
   plan.ranges.push_back({0, 32 * kBlockSize, {replica, 0}, 0});
   plan.pcs.insert(1);
   // One warp load fanning out to 32 distinct blocks: fully uncoalesced.
-  trace::KernelTrace kt;
-  trace::WarpTrace wt;
-  wt.warp = 0;
-  trace::WarpMemInst inst{1, AccessType::kLoad, kWarpSize, {}};
-  for (unsigned b = 0; b < 32; ++b) inst.blocks.push_back(b * kBlockSize);
-  wt.insts.push_back(inst);
-  kt.warps.push_back(wt);
+  std::vector<Addr> blocks;
+  for (unsigned b = 0; b < 32; ++b) blocks.push_back(b * kBlockSize);
   const auto findings = analysis::LintCapacity(
-      *trace::BuildStore({kt}), dev.space(), plan, sim::GpuConfig{});
+      *HandTrace().Kernel().Warp(0).Load(1, blocks).Build(), dev.space(),
+      plan, sim::GpuConfig{});
   ASSERT_EQ(CountFindings(findings, Check::kCoalescing, Severity::kInfo),
             1u);
   EXPECT_EQ(findings.back().count, 32u);

@@ -7,6 +7,7 @@
 #include "core/protection.h"
 #include "core/replication.h"
 #include "exec/launcher.h"
+#include "hand_trace.h"
 
 namespace dcrm::core {
 namespace {
@@ -77,18 +78,17 @@ TEST(AccessProfiler, MismatchedBeginEndThrows) {
   EXPECT_THROW(prof.BeginKernel(cfg), std::logic_error);
 }
 
+const exec::LaunchConfig kOneWarp{{1, 1, 1}, {32, 1, 1}};
+
 TEST(CountLoadTransactions, CountsPerBlockLoadsOnly) {
-  trace::KernelTrace kt;
-  kt.cfg.grid = {1, 1, 1};
-  kt.cfg.block = {32, 1, 1};
-  trace::WarpTrace wt;
-  wt.warp = 0;
-  wt.cta = 0;
-  wt.insts.push_back({1, AccessType::kLoad, 32, {0, kBlockSize}});
-  wt.insts.push_back({2, AccessType::kLoad, 32, {0}});
-  wt.insts.push_back({3, AccessType::kStore, 32, {0}});  // not counted
-  kt.warps.push_back(wt);
-  const auto txns = CountLoadTransactions(*trace::BuildStore({kt}));
+  const auto store = test::HandTrace()
+                         .Kernel(kOneWarp)
+                         .Warp(0)
+                         .Load(1, {0, kBlockSize})
+                         .Load(2, {0})
+                         .Store(3, {0})  // not counted
+                         .Build();
+  const auto txns = CountLoadTransactions(*store);
   EXPECT_EQ(txns.at(0), 2u);
   EXPECT_EQ(txns.at(1), 1u);
   EXPECT_EQ(txns.size(), 2u);
@@ -126,17 +126,14 @@ TEST(PcAttribution, MapsLoadSitesToObjects) {
 }
 
 TEST(ReplayL1Misses, ColdMissesThenHits) {
-  trace::KernelTrace kt;
-  kt.cfg.grid = {1, 1, 1};
-  kt.cfg.block = {32, 1, 1};
-  trace::WarpTrace wt;
-  wt.warp = 0;
-  wt.cta = 0;
-  wt.insts.push_back({1, AccessType::kLoad, 32, {0}});
-  wt.insts.push_back({1, AccessType::kLoad, 32, {0}});
-  wt.insts.push_back({2, AccessType::kLoad, 32, {kBlockSize}});
-  kt.warps.push_back(wt);
-  const auto misses = ReplayL1Misses(*trace::BuildStore({kt}), 15, 32, 4);
+  const auto store = test::HandTrace()
+                         .Kernel(kOneWarp)
+                         .Warp(0)
+                         .Load(1, {0})
+                         .Load(1, {0})
+                         .Load(2, {kBlockSize})
+                         .Build();
+  const auto misses = ReplayL1Misses(*store, 15, 32, 4);
   EXPECT_EQ(misses.at(0), 1u);
   EXPECT_EQ(misses.at(1), 1u);
 }

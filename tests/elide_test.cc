@@ -609,9 +609,9 @@ TEST(ElideSynthetic, StoresThatReachOnlySomeCopies) {
   }
 }
 
-// A propagated store that runs past its range's end writes the bytes
-// beyond it into whatever follows the replica: here the copy of `b`,
-// whose primary sits elsewhere.
+// A propagated store that runs past its range's end reaches the copies
+// only up to the range's padded end: the copy of `b`, which follows
+// the replica of `a`, keeps its bytes.
 TEST(ElideSynthetic, PropagatedStorePastTheRangeEnd) {
   mem::DeviceMemory dev;
   const auto a = dev.space().Allocate("a", kBlockSize, false);
@@ -636,7 +636,88 @@ TEST(ElideSynthetic, PropagatedStorePastTheRangeEnd) {
           return std::vector<std::uint8_t>(buf, buf + 4);
         });
       });
-  EXPECT_EQ(full.detections, 1u);
+  EXPECT_EQ(full.end, "completed");
+  EXPECT_EQ(full.detections, 0u);
+}
+
+// Gives `w` a second copy the way Tier-2 escalation does
+// (RecoveryManager::ApplyEscalations): a raw allocation seeded from the
+// primary, past everything else, so it is the store's last allocation.
+void EscalateToTheEnd(Synthetic& s) {
+  sim::ProtectedRange& r = s.plan.ranges[0];
+  const Addr rb = s.dev.space().AllocateRaw(r.size);
+  r.replica_base[1] = rb;
+  r.copies = 2;
+  std::byte* data = s.dev.space().Data();
+  std::memcpy(data + rb, data + r.base, r.size);
+  s.image.assign(data, data + s.dev.space().StoreSize());
+}
+
+// An 8-byte load at 252 of the 256-byte `w` runs four bytes into `out`.
+// Only the bytes up to `w`'s end have copies, so they alone are
+// compared or voted — also when the last copy (`w`'s only replica, or
+// a Tier-2 escalation replica) is the store's last allocation and has
+// nothing past them. A fault in `w`'s part of the load is still seen;
+// one in `out`'s part is not compared.
+TEST(ElideSynthetic, LoadAcrossTheEndOfTheLastAllocation) {
+  for (const bool escalate : {false, true}) {
+    for (const Addr fault : {Addr{0}, Addr{253}, Addr{257}}) {
+      SCOPED_TRACE(std::string(escalate ? "escalated" : "one copy") +
+                   ", fault at " + std::to_string(fault));
+      Synthetic s(1, false);
+      if (escalate) EscalateToTheEnd(s);
+      ASSERT_EQ(s.plan.ranges[0].ReplicaAddr(escalate ? 1 : 0, 2 * kBlockSize),
+                s.dev.space().StoreSize());
+      if (fault != 0) s.Flip(fault, 4);
+      const RunRecord full = ExpectElisionExact(
+          s.dev, s.plan, s.image, [&](exec::DataPlane& p) {
+            return Body([&p] {
+              std::uint8_t buf[8];
+              ThreadLoad(p, /*pc=*/1, 2 * kBlockSize - 4, buf, 8);
+              return std::vector<std::uint8_t>(buf, buf + 8);
+            });
+          });
+      if (fault == 253 && !escalate) {
+        EXPECT_EQ(full.end, "detected pc=1 addr=252");
+      } else {
+        EXPECT_EQ(full.end, "completed");
+        EXPECT_EQ(full.corrections, fault == 253 ? 1u : 0u);
+      }
+    }
+  }
+}
+
+// A propagated 8-byte store at 252 of `w`: the primary takes all eight
+// bytes (the last four land in `out`), each copy the four up to `w`'s
+// end, so the store does not run off the last allocation.
+TEST(ElideSynthetic, PropagatedStoreAcrossTheEndOfTheLastAllocation) {
+  const std::uint8_t value[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (const bool escalate : {false, true}) {
+    SCOPED_TRACE(escalate ? "escalated" : "one copy");
+    Synthetic s(1, /*propagate=*/true);
+    if (escalate) EscalateToTheEnd(s);
+    const Addr at = 2 * kBlockSize - 4;
+    const RunRecord full = ExpectElisionExact(
+        s.dev, s.plan, s.image, [&](exec::DataPlane& p) {
+          return Body([&p, at, &value] {
+            p.Store(/*pc=*/2, at, value, 8);
+            std::vector<std::uint8_t> seen;
+            for (const Addr a : {at - 4, at}) {
+              std::uint8_t buf[8];
+              ThreadLoad(p, /*pc=*/1, a, buf, 8);
+              seen.insert(seen.end(), buf, buf + 8);
+            }
+            return seen;
+          });
+        });
+    EXPECT_EQ(full.end, "completed");
+    EXPECT_EQ(full.detections, 0u);
+    EXPECT_EQ(std::memcmp(full.store.data() + at, value, 8), 0);
+    for (unsigned c = 0; c < (escalate ? 2u : 1u); ++c) {
+      EXPECT_EQ(std::memcmp(full.store.data() + s.Replica(c, at), value, 4),
+                0);
+    }
+  }
 }
 
 // A range whose head and tail share blocks with unprotected bytes of

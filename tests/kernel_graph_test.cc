@@ -18,6 +18,7 @@
 #include "core/access_profile.h"
 #include "exec/kernel_graph.h"
 #include "exec/launcher.h"
+#include "hand_trace.h"
 #include "mem/device_memory.h"
 #include "trace/graph_stats.h"
 #include "trace/trace_io.h"
@@ -308,27 +309,21 @@ TEST(GraphStats, EdgeReuseMeasuresProducerConsumerIntersection) {
 // the next is live across the kernel boundary, and the edge rollup
 // reports exactly the crossing blocks.
 
-trace::KernelTrace OneInstKernel(const char* name, std::uint32_t node,
-                                 Pc pc, AccessType type,
-                                 std::uint64_t block) {
-  trace::KernelTrace kt;
-  kt.name = name;
-  kt.node = node;
-  trace::WarpTrace wt;
-  wt.warp = 0;
-  wt.insts.push_back({pc, type, kWarpSize, {block * kBlockSize}});
-  kt.warps.push_back(std::move(wt));
-  return kt;
+// Appends a kernel whose one warp makes one full-warp access to the
+// 128B block with index `block`.
+void OneInstKernel(test::HandTrace& t, const char* name, std::uint32_t node,
+                   Pc pc, AccessType type, std::uint64_t block) {
+  t.Kernel({}, name, node).Warp(0).Inst(pc, type, kWarpSize,
+                                        {block * kBlockSize});
 }
 
 TEST(GraphVulnerability, LiveIntervalSpansConsumerEdge) {
   mem::DeviceMemory dev;
   dev.space().Allocate("t", kBlockSize, false);
-  const auto store = trace::BuildStore(
-      std::vector<trace::KernelTrace>{
-          OneInstKernel("producer", 0, 1, AccessType::kStore, 0),
-          OneInstKernel("consumer", 1, 2, AccessType::kLoad, 0)},
-      {{0, 1, "t"}});
+  test::HandTrace t;
+  OneInstKernel(t, "producer", 0, 1, AccessType::kStore, 0);
+  OneInstKernel(t, "consumer", 1, 2, AccessType::kLoad, 0);
+  const auto store = t.Build({{0, 1, "t"}});
   const auto map =
       analysis::AnalyzeVulnerability(*store, dev.space(), {});
   ASSERT_EQ(map.total_transactions, 2u);
@@ -358,11 +353,10 @@ TEST(GraphVulnerability, UnreusedEdgeReportsZeroCrossingBlocks) {
   dev.space().Allocate("t", 2 * kBlockSize, false);
   // Producer writes block 0; consumer reads block 1 — the edge exists
   // structurally but no written value crosses it.
-  const auto store = trace::BuildStore(
-      std::vector<trace::KernelTrace>{
-          OneInstKernel("producer", 0, 1, AccessType::kStore, 0),
-          OneInstKernel("consumer", 1, 2, AccessType::kLoad, 1)},
-      {{0, 1, "t"}});
+  test::HandTrace t;
+  OneInstKernel(t, "producer", 0, 1, AccessType::kStore, 0);
+  OneInstKernel(t, "consumer", 1, 2, AccessType::kLoad, 1);
+  const auto store = t.Build({{0, 1, "t"}});
   const auto map =
       analysis::AnalyzeVulnerability(*store, dev.space(), {});
   ASSERT_EQ(map.edges.size(), 1u);

@@ -202,8 +202,12 @@ TEST(CoalescerProperty, InvariantsOverRandomPatterns) {
       recorder.OnAccess(who, step[l]);
     }
     recorder.EndKernel();
-    const auto insts =
-        trace::ToKernelTraces(*recorder.Finish())[0].warps[0].insts;
+    const auto store = recorder.Finish();
+    const trace::WarpSlice warp = store->Kernel(0).Warp(0);
+    std::vector<trace::InstView> insts;
+    for (std::uint32_t i = 0; i < warp.NumInsts(); ++i) {
+      insts.push_back(warp.Inst(i));
+    }
     unsigned total_lanes = 0;
     std::size_t total_blocks = 0;
     for (const auto& m : insts) {
@@ -212,7 +216,7 @@ TEST(CoalescerProperty, InvariantsOverRandomPatterns) {
       ASSERT_LE(m.blocks.size(), m.active_lanes);
       for (Addr b : m.blocks) ASSERT_EQ(b % kBlockSize, 0u);
       // No duplicate transactions within an instruction.
-      auto sorted = m.blocks;
+      std::vector<Addr> sorted(m.blocks.begin(), m.blocks.end());
       std::sort(sorted.begin(), sorted.end());
       ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
                 sorted.end());
@@ -221,7 +225,7 @@ TEST(CoalescerProperty, InvariantsOverRandomPatterns) {
     // Every record's block appears in some instruction with its pc.
     for (const auto& rec : step) {
       const bool found = std::any_of(
-          insts.begin(), insts.end(), [&](const trace::WarpMemInst& m) {
+          insts.begin(), insts.end(), [&](const trace::InstView& m) {
             return m.pc == rec.pc &&
                    std::find(m.blocks.begin(), m.blocks.end(),
                              BlockBase(rec.addr)) != m.blocks.end();

@@ -23,6 +23,7 @@
 #include "apps/driver.h"
 #include "apps/registry.h"
 #include "core/recovery.h"
+#include "hand_trace.h"
 #include "sim/event_queue.h"
 #include "sim/gpu.h"
 
@@ -284,14 +285,14 @@ TEST(EngineIdentity, ChargeRecoveryMatches) {
 // A kernel with zero CTAs still burns exactly one dispatch cycle in
 // the reference loop; the event engine replicates it.
 TEST(EngineIdentity, EmptyKernel) {
-  trace::KernelTrace kt;
-  kt.cfg.grid = {0, 1, 1};
-  kt.cfg.block = {kWarpSize, 1, 1};
-  const std::vector<trace::KernelTrace> kernels{kt};
+  exec::LaunchConfig cfg;
+  cfg.grid = {0, 1, 1};
+  cfg.block = {kWarpSize, 1, 1};
+  const auto kernels = test::HandTrace().Kernel(cfg).Build();
   sim::Gpu cyc(WithEngine({}, sim::SimEngine::kCycleStepped), {});
   sim::Gpu evt(WithEngine({}, sim::SimEngine::kEventDriven), {});
-  const auto a = cyc.Run(kernels);
-  const auto b = evt.Run(kernels);
+  const auto a = cyc.Run(*kernels);
+  const auto b = evt.Run(*kernels);
   EXPECT_EQ(a.cycles, 1u);
   EXPECT_EQ(b.cycles, 1u);
   EXPECT_EQ(b.sim_ticks, 1u);
@@ -345,41 +346,37 @@ TEST(EngineIdentity, RandomizedTraceProperty) {
     const std::uint32_t wpc = pick(1, 4);
     cfg.max_warps_per_sm = wpc * pick(1, 4);
     const std::uint32_t kernels_n = pick(1, 2);
-    std::vector<trace::KernelTrace> kernels;
+    test::HandTrace t;
     for (std::uint32_t k = 0; k < kernels_n; ++k) {
       const std::uint32_t ctas = pick(1, 6);
-      trace::KernelTrace kt;
-      kt.cfg.grid = {ctas, 1, 1};
-      kt.cfg.block = {wpc * kWarpSize, 1, 1};
+      exec::LaunchConfig launch;
+      launch.grid = {ctas, 1, 1};
+      launch.block = {wpc * kWarpSize, 1, 1};
+      t.Kernel(launch);
       for (std::uint32_t c = 0; c < ctas; ++c) {
         for (std::uint32_t w = 0; w < wpc; ++w) {
-          trace::WarpTrace wt;
-          wt.warp = c * wpc + w;
-          wt.cta = c;
+          t.Warp(c * wpc + w, c);
           const std::uint32_t insts = pick(0, 8);
           for (std::uint32_t i = 0; i < insts; ++i) {
-            trace::WarpMemInst inst;
-            inst.pc = 0x100 + 8 * pick(0, 5);
-            inst.type = pick(0, 9) < 8 ? AccessType::kLoad
-                                       : AccessType::kStore;
-            inst.active_lanes = 32;
+            const Pc pc = 0x100 + 8 * pick(0, 5);
+            const AccessType type =
+                pick(0, 9) < 8 ? AccessType::kLoad : AccessType::kStore;
             const std::uint32_t nblk = pick(1, 4);
+            std::vector<Addr> blocks;
             for (std::uint32_t b = 0; b < nblk; ++b) {
-              inst.blocks.push_back(
-                  static_cast<Addr>(pick(0, 255)) * kBlockSize);
+              blocks.push_back(static_cast<Addr>(pick(0, 255)) * kBlockSize);
             }
-            wt.insts.push_back(std::move(inst));
+            t.Inst(pc, type, 32, blocks);
           }
-          kt.warps.push_back(std::move(wt));
         }
       }
-      kernels.push_back(std::move(kt));
     }
+    const auto kernels = t.Build();
 
     sim::Gpu cyc(WithEngine(cfg, sim::SimEngine::kCycleStepped), {});
     sim::Gpu evt(WithEngine(cfg, sim::SimEngine::kEventDriven), {});
-    const auto a = cyc.Run(kernels, /*max_cycles=*/1'000'000);
-    const auto b = evt.Run(kernels, /*max_cycles=*/1'000'000);
+    const auto a = cyc.Run(*kernels, /*max_cycles=*/1'000'000);
+    const auto b = evt.Run(*kernels, /*max_cycles=*/1'000'000);
     ExpectStatsEqual(a, b, "totals");
     EXPECT_LE(b.sim_ticks, a.sim_ticks);
     const auto& asm_ = cyc.PerSmStats();

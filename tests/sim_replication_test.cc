@@ -5,31 +5,18 @@
 #include <functional>
 #include <vector>
 
+#include "hand_trace.h"
 #include "sim/gpu.h"
 
 namespace dcrm::sim {
 namespace {
 
-trace::KernelTrace MakeTrace(
-    std::uint32_t ctas, std::uint32_t warps_per_cta,
-    const std::function<std::vector<trace::WarpMemInst>(WarpId)>& gen) {
-  trace::KernelTrace kt;
-  kt.cfg.grid = {ctas, 1, 1};
-  kt.cfg.block = {warps_per_cta * kWarpSize, 1, 1};
-  for (std::uint32_t c = 0; c < ctas; ++c) {
-    for (std::uint32_t w = 0; w < warps_per_cta; ++w) {
-      trace::WarpTrace wt;
-      wt.warp = c * warps_per_cta + w;
-      wt.cta = c;
-      wt.insts = gen(wt.warp);
-      kt.warps.push_back(std::move(wt));
-    }
-  }
-  return kt;
-}
+using test::HandTrace;
 
-trace::WarpMemInst Load(Pc pc, std::vector<Addr> blocks) {
-  return {pc, AccessType::kLoad, 32, std::move(blocks)};
+std::shared_ptr<const trace::TraceStore> MakeTrace(
+    std::uint32_t ctas, std::uint32_t warps_per_cta,
+    const std::function<void(HandTrace&, WarpId)>& gen) {
+  return HandTrace().Grid(ctas, warps_per_cta, gen).Build();
 }
 
 ProtectionPlan OneRangePlan(Scheme scheme, Addr base, std::uint64_t size,
@@ -52,12 +39,11 @@ TEST(Replication, ReplicaResponsesDoNotFillL1) {
   GpuConfig cfg;
   auto plan = OneRangePlan(Scheme::kDetectOnly, 0, kBlockSize);
   const Addr replica_block = plan.ranges[0].replica_base[0];
-  auto kt = MakeTrace(1, 1, [&](WarpId) {
-    return std::vector<trace::WarpMemInst>{Load(1, {0}),
-                                           Load(2, {replica_block})};
+  const auto kt = MakeTrace(1, 1, [&](HandTrace& t, WarpId) {
+    t.Load(1, {0}).Load(2, {replica_block});
   });
   Gpu gpu(cfg, plan);
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.l1_misses, 2u);  // the replica block missed again
   EXPECT_EQ(stats.l1_hits, 0u);
 }
@@ -66,11 +52,11 @@ TEST(Replication, PcFilterSuppressesUntrackedLoads) {
   GpuConfig cfg;
   auto plan = OneRangePlan(Scheme::kDetectOnly, 0, kBlockSize);
   plan.pcs = {7};  // only PC 7 is in the LD/ST tracking table
-  auto kt = MakeTrace(1, 1, [](WarpId) {
-    return std::vector<trace::WarpMemInst>{Load(7, {0}), Load(9, {0})};
+  const auto kt = MakeTrace(1, 1, [](HandTrace& t, WarpId) {
+    t.Load(7, {0}).Load(9, {0});
   });
   Gpu gpu(cfg, plan);
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.replica_transactions, 1u);  // PC 9 not replicated
 }
 
@@ -80,11 +66,10 @@ TEST(Replication, MergedMissesReplicateOnce) {
   // duplication, as in the paper).
   GpuConfig cfg;
   auto plan = OneRangePlan(Scheme::kDetectOnly, 0, kBlockSize);
-  auto kt = MakeTrace(1, 8, [](WarpId) {
-    return std::vector<trace::WarpMemInst>{Load(1, {0})};
-  });
+  const auto kt =
+      MakeTrace(1, 8, [](HandTrace& t, WarpId) { t.Load(1, {0}); });
   Gpu gpu(cfg, plan);
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.l1_misses, 1u);
   EXPECT_EQ(stats.l1_pending_hits + stats.l1_hits, 7u);
   EXPECT_EQ(stats.replica_transactions, 1u);
@@ -93,19 +78,14 @@ TEST(Replication, MergedMissesReplicateOnce) {
 TEST(Replication, EagerDetectionSlowerThanLazy) {
   GpuConfig cfg;
   const std::uint64_t span = 512;
-  auto gen = [&](WarpId w) {
-    std::vector<trace::WarpMemInst> v;
-    for (int i = 0; i < 16; ++i) {
-      v.push_back(Load(1, {((w * 16 + i) % span) * kBlockSize}));
-    }
-    return v;
-  };
-  auto kt = MakeTrace(4, 4, gen);
+  const auto kt = MakeTrace(4, 4, [&](HandTrace& t, WarpId w) {
+    for (int i = 0; i < 16; ++i) t.Load(1, {((w * 16 + i) % span) * kBlockSize});
+  });
   Gpu lazy(cfg, OneRangePlan(Scheme::kDetectOnly, 0, span * kBlockSize, true));
   Gpu eager(cfg,
             OneRangePlan(Scheme::kDetectOnly, 0, span * kBlockSize, false));
-  const auto ls = lazy.Run({kt});
-  const auto es = eager.Run({kt});
+  const auto ls = lazy.Run(*kt);
+  const auto es = eager.Run(*kt);
   EXPECT_GE(es.cycles, ls.cycles);
   EXPECT_EQ(es.replica_transactions, ls.replica_transactions);
   EXPECT_EQ(es.comparisons, 0u);  // eager copies block the warp instead
@@ -118,35 +98,30 @@ TEST(Replication, CompareQueueBoundsOutstandingLazyEntries) {
   GpuConfig cfg;
   cfg.compare_queue_entries = 2;
   auto plan = OneRangePlan(Scheme::kDetectOnly, 0, 4096 * kBlockSize);
-  auto kt = MakeTrace(1, 8, [](WarpId w) {
-    std::vector<trace::WarpMemInst> v;
+  const auto kt = MakeTrace(1, 8, [](HandTrace& t, WarpId w) {
     for (int i = 0; i < 8; ++i) {
-      v.push_back(Load(1, {static_cast<Addr>(w * 512 + i * 64) * kBlockSize}));
+      t.Load(1, {static_cast<Addr>(w * 512 + i * 64) * kBlockSize});
     }
-    return v;
   });
   Gpu gpu(cfg, plan);
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_GT(stats.compare_queue_stalls, 0u);
   EXPECT_EQ(stats.comparisons, stats.replica_transactions);
 }
 
 TEST(Scheduler, GtoAndLrrBothComplete) {
-  auto gen = [](WarpId w) {
-    std::vector<trace::WarpMemInst> v;
+  const auto kt = MakeTrace(2, 8, [](HandTrace& t, WarpId w) {
     for (int i = 0; i < 32; ++i) {
-      v.push_back(Load(1, {static_cast<Addr>(w % 4) * 32 * kBlockSize +
-                           static_cast<Addr>(i % 32) * kBlockSize}));
+      t.Load(1, {static_cast<Addr>(w % 4) * 32 * kBlockSize +
+                 static_cast<Addr>(i % 32) * kBlockSize});
     }
-    return v;
-  };
-  auto kt = MakeTrace(2, 8, gen);
+  });
   GpuConfig gto_cfg;
   gto_cfg.sched_policy = SchedPolicy::kGto;
   GpuConfig lrr_cfg;
   lrr_cfg.sched_policy = SchedPolicy::kLrr;
-  const auto gto = Gpu(gto_cfg, {}).Run({kt});
-  const auto lrr = Gpu(lrr_cfg, {}).Run({kt});
+  const auto gto = Gpu(gto_cfg, {}).Run(*kt);
+  const auto lrr = Gpu(lrr_cfg, {}).Run(*kt);
   EXPECT_EQ(gto.mem_insts, lrr.mem_insts);
   EXPECT_GT(gto.cycles, 0u);
   EXPECT_GT(lrr.cycles, 0u);
@@ -155,22 +130,19 @@ TEST(Scheduler, GtoAndLrrBothComplete) {
 TEST(Scheduler, PoliciesConserveWork) {
   // Scheduling policy must never change *what* is executed, only when:
   // instruction and access totals are identical across policies.
-  auto gen = [](WarpId w) {
-    std::vector<trace::WarpMemInst> v;
+  const auto kt = MakeTrace(1, 16, [](HandTrace& t, WarpId w) {
     for (int rep = 0; rep < 8; ++rep) {
       for (int b = 0; b < 32; ++b) {
-        v.push_back(Load(1, {(static_cast<Addr>(w) * 32 + b) * kBlockSize}));
+        t.Load(1, {(static_cast<Addr>(w) * 32 + b) * kBlockSize});
       }
     }
-    return v;
-  };
-  auto kt = MakeTrace(1, 16, gen);
+  });
   GpuConfig gto_cfg;
   gto_cfg.sched_policy = SchedPolicy::kGto;
   GpuConfig lrr_cfg;
   lrr_cfg.sched_policy = SchedPolicy::kLrr;
-  const auto gto = Gpu(gto_cfg, {}).Run({kt});
-  const auto lrr = Gpu(lrr_cfg, {}).Run({kt});
+  const auto gto = Gpu(gto_cfg, {}).Run(*kt);
+  const auto lrr = Gpu(lrr_cfg, {}).Run(*kt);
   EXPECT_EQ(gto.mem_insts, lrr.mem_insts);
   EXPECT_EQ(gto.transactions, lrr.transactions);
   EXPECT_EQ(gto.l1_accesses, lrr.l1_accesses);
@@ -179,18 +151,14 @@ TEST(Scheduler, PoliciesConserveWork) {
 }
 
 TEST(Scheduler, SimulationIsDeterministic) {
-  auto gen = [](WarpId w) {
-    std::vector<trace::WarpMemInst> v;
+  const auto kt = MakeTrace(3, 4, [](HandTrace& t, WarpId w) {
     for (int i = 0; i < 20; ++i) {
-      v.push_back(Load(1, {(static_cast<Addr>(w * 7 + i * 3) % 256) *
-                           kBlockSize}));
+      t.Load(1, {(static_cast<Addr>(w * 7 + i * 3) % 256) * kBlockSize});
     }
-    return v;
-  };
-  auto kt = MakeTrace(3, 4, gen);
+  });
   GpuConfig cfg;
-  const auto a = Gpu(cfg, {}).Run({kt});
-  const auto b = Gpu(cfg, {}).Run({kt});
+  const auto a = Gpu(cfg, {}).Run(*kt);
+  const auto b = Gpu(cfg, {}).Run(*kt);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.l1_misses, b.l1_misses);
   EXPECT_EQ(a.dram_reads, b.dram_reads);
@@ -199,21 +167,18 @@ TEST(Scheduler, SimulationIsDeterministic) {
 TEST(Mlp, WindowOverlapsIndependentLoads) {
   // Two independent cold loads per "iteration": with an MLP window of
   // 2 they overlap; with 1 they serialize. Time must improve.
-  auto gen = [](WarpId) {
-    std::vector<trace::WarpMemInst> v;
+  const auto kt = MakeTrace(1, 1, [](HandTrace& t, WarpId) {
     for (int i = 0; i < 16; ++i) {
-      v.push_back(Load(1, {static_cast<Addr>(2 * i) * 97 * kBlockSize}));
-      v.push_back(Load(2, {static_cast<Addr>(2 * i + 1) * 97 * kBlockSize}));
+      t.Load(1, {static_cast<Addr>(2 * i) * 97 * kBlockSize});
+      t.Load(2, {static_cast<Addr>(2 * i + 1) * 97 * kBlockSize});
     }
-    return v;
-  };
-  auto kt = MakeTrace(1, 1, gen);
+  });
   GpuConfig mlp1;
   mlp1.max_warp_mlp = 1;
   GpuConfig mlp2;
   mlp2.max_warp_mlp = 2;
-  const auto s1 = Gpu(mlp1, {}).Run({kt});
-  const auto s2 = Gpu(mlp2, {}).Run({kt});
+  const auto s1 = Gpu(mlp1, {}).Run(*kt);
+  const auto s2 = Gpu(mlp2, {}).Run(*kt);
   EXPECT_LT(s2.cycles, s1.cycles * 3 / 4);
 }
 
@@ -222,22 +187,24 @@ TEST(Gpu, CtaThrottlingRespectsWarpSlots) {
   // one CTA at a time, so the run completes without oversubscription.
   GpuConfig cfg;
   cfg.num_sms = 1;
-  auto kt = MakeTrace(3, 24, [](WarpId w) {
-    return std::vector<trace::WarpMemInst>{
-        Load(1, {static_cast<Addr>(w) * kBlockSize})};
+  const auto kt = MakeTrace(3, 24, [](HandTrace& t, WarpId w) {
+    t.Load(1, {static_cast<Addr>(w) * kBlockSize});
   });
   Gpu gpu(cfg, {});
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.mem_insts, 3u * 24);
 }
 
 TEST(Gpu, MultiKernelRunsAccumulate) {
   GpuConfig cfg;
-  auto kt = MakeTrace(1, 1, [](WarpId) {
-    return std::vector<trace::WarpMemInst>{Load(1, {0})};
-  });
+  const auto one_load = [](HandTrace& t, WarpId) { t.Load(1, {0}); };
+  const auto kt = HandTrace()
+                      .Grid(1, 1, one_load)
+                      .Grid(1, 1, one_load)
+                      .Grid(1, 1, one_load)
+                      .Build();
   Gpu gpu(cfg, {});
-  const auto stats = gpu.Run({kt, kt, kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.mem_insts, 3u);
   // Kernel 2 and 3 hit in the warm L1 (caches persist across kernels).
   EXPECT_EQ(stats.l1_misses, 1u);
@@ -245,15 +212,11 @@ TEST(Gpu, MultiKernelRunsAccumulate) {
 
 TEST(Gpu, DeadlockGuardFires) {
   GpuConfig cfg;
-  auto kt = MakeTrace(1, 1, [](WarpId) {
-    std::vector<trace::WarpMemInst> v;
-    for (int i = 0; i < 100; ++i) {
-      v.push_back(Load(1, {static_cast<Addr>(i) * kBlockSize}));
-    }
-    return v;
+  const auto kt = MakeTrace(1, 1, [](HandTrace& t, WarpId) {
+    for (int i = 0; i < 100; ++i) t.Load(1, {static_cast<Addr>(i) * kBlockSize});
   });
   Gpu gpu(cfg, {});
-  EXPECT_THROW(gpu.Run({kt}, /*max_cycles=*/10), std::runtime_error);
+  EXPECT_THROW(gpu.Run(*kt, /*max_cycles=*/10), std::runtime_error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <functional>
 #include <vector>
 
+#include "hand_trace.h"
 #include "sim/dram.h"
 #include "sim/gpu.h"
 #include "sim/interconnect.h"
@@ -11,29 +12,12 @@
 namespace dcrm::sim {
 namespace {
 
-trace::KernelTrace MakeTrace(
-    std::uint32_t ctas, std::uint32_t warps_per_cta,
-    const std::function<std::vector<trace::WarpMemInst>(WarpId)>& gen) {
-  trace::KernelTrace kt;
-  kt.cfg.grid = {ctas, 1, 1};
-  kt.cfg.block = {warps_per_cta * kWarpSize, 1, 1};
-  for (std::uint32_t c = 0; c < ctas; ++c) {
-    for (std::uint32_t w = 0; w < warps_per_cta; ++w) {
-      trace::WarpTrace wt;
-      wt.warp = c * warps_per_cta + w;
-      wt.cta = c;
-      wt.insts = gen(wt.warp);
-      kt.warps.push_back(std::move(wt));
-    }
-  }
-  return kt;
-}
+using test::HandTrace;
 
-trace::WarpMemInst Load(Pc pc, std::vector<Addr> blocks) {
-  return {pc, AccessType::kLoad, 32, std::move(blocks)};
-}
-trace::WarpMemInst Store(Pc pc, std::vector<Addr> blocks) {
-  return {pc, AccessType::kStore, 32, std::move(blocks)};
+std::shared_ptr<const trace::TraceStore> MakeTrace(
+    std::uint32_t ctas, std::uint32_t warps_per_cta,
+    const std::function<void(HandTrace&, WarpId)>& gen) {
+  return HandTrace().Grid(ctas, warps_per_cta, gen).Build();
 }
 
 TEST(TagArray, HitAfterFill) {
@@ -147,10 +131,8 @@ TEST(Interconnect, ResponsePortSerializes) {
 TEST(Gpu, EmptyTraceCompletes) {
   GpuConfig cfg;
   Gpu gpu(cfg, ProtectionPlan{});
-  auto kt = MakeTrace(2, 2, [](WarpId) {
-    return std::vector<trace::WarpMemInst>{};
-  });
-  const auto stats = gpu.Run({kt});
+  const auto kt = MakeTrace(2, 2, [](HandTrace&, WarpId) {});
+  const auto stats = gpu.Run(*kt);
   EXPECT_GT(stats.cycles, 0u);
   EXPECT_EQ(stats.mem_insts, 0u);
 }
@@ -158,10 +140,9 @@ TEST(Gpu, EmptyTraceCompletes) {
 TEST(Gpu, SingleLoadGoesThroughHierarchy) {
   GpuConfig cfg;
   Gpu gpu(cfg, ProtectionPlan{});
-  auto kt = MakeTrace(1, 1, [](WarpId) {
-    return std::vector<trace::WarpMemInst>{Load(1, {0})};
-  });
-  const auto stats = gpu.Run({kt});
+  const auto kt =
+      MakeTrace(1, 1, [](HandTrace& t, WarpId) { t.Load(1, {0}); });
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.mem_insts, 1u);
   EXPECT_EQ(stats.l1_misses, 1u);
   EXPECT_EQ(stats.l2_misses, 1u);
@@ -173,12 +154,10 @@ TEST(Gpu, SingleLoadGoesThroughHierarchy) {
 TEST(Gpu, RepeatedLoadHitsInL1) {
   GpuConfig cfg;
   Gpu gpu(cfg, ProtectionPlan{});
-  auto kt = MakeTrace(1, 1, [](WarpId) {
-    std::vector<trace::WarpMemInst> v;
-    for (int i = 0; i < 10; ++i) v.push_back(Load(1, {0}));
-    return v;
+  const auto kt = MakeTrace(1, 1, [](HandTrace& t, WarpId) {
+    for (int i = 0; i < 10; ++i) t.Load(1, {0});
   });
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.l1_misses, 1u);
   // The MLP window lets the second load issue while the first is
   // outstanding: it merges into the MSHR (pending hit); the other
@@ -191,10 +170,10 @@ TEST(Gpu, RepeatedLoadHitsInL1) {
 TEST(Gpu, StoresAreWriteThrough) {
   GpuConfig cfg;
   Gpu gpu(cfg, ProtectionPlan{});
-  auto kt = MakeTrace(1, 1, [](WarpId) {
-    return std::vector<trace::WarpMemInst>{Store(1, {0}), Store(2, {0})};
+  const auto kt = MakeTrace(1, 1, [](HandTrace& t, WarpId) {
+    t.Store(1, {0}).Store(2, {0});
   });
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.dram_writes, 2u);  // no write-allocate in L2 either
   EXPECT_EQ(stats.l1_misses, 0u);    // stores don't count as load misses
 }
@@ -203,19 +182,17 @@ TEST(Gpu, LatencyToleranceOverlapsWarps) {
   // 16 warps each loading a distinct cold block: with latency
   // tolerance total time must be far below 16x the single-warp time.
   GpuConfig cfg;
-  auto one = MakeTrace(1, 1, [](WarpId w) {
-    return std::vector<trace::WarpMemInst>{
-        Load(1, {static_cast<Addr>(w) * 64 * kBlockSize})};
+  const auto one = MakeTrace(1, 1, [](HandTrace& t, WarpId w) {
+    t.Load(1, {static_cast<Addr>(w) * 64 * kBlockSize});
   });
   Gpu g1(cfg, ProtectionPlan{});
-  const auto s1 = g1.Run({one});
+  const auto s1 = g1.Run(*one);
 
-  auto many = MakeTrace(1, 16, [](WarpId w) {
-    return std::vector<trace::WarpMemInst>{
-        Load(1, {static_cast<Addr>(w) * 64 * kBlockSize})};
+  const auto many = MakeTrace(1, 16, [](HandTrace& t, WarpId w) {
+    t.Load(1, {static_cast<Addr>(w) * 64 * kBlockSize});
   });
   Gpu g16(cfg, ProtectionPlan{});
-  const auto s16 = g16.Run({many});
+  const auto s16 = g16.Run(*many);
   EXPECT_LT(s16.cycles, s1.cycles * 4);
 }
 
@@ -229,15 +206,13 @@ TEST(Gpu, DetectionDuplicatesMissesOnly) {
   range.replica_base[0] = 1000 * kBlockSize;
   plan.ranges.push_back(range);
 
-  auto kt = MakeTrace(1, 1, [](WarpId) {
-    std::vector<trace::WarpMemInst> v;
-    v.push_back(Load(1, {0}));  // protected miss -> +1 replica txn
-    v.push_back(Load(1, {0}));  // protected hit  -> no extra txn
-    v.push_back(Load(2, {10 * kBlockSize}));  // unprotected miss
-    return v;
+  const auto kt = MakeTrace(1, 1, [](HandTrace& t, WarpId) {
+    t.Load(1, {0});                // protected miss -> +1 replica txn
+    t.Load(1, {0});                // protected hit  -> no extra txn
+    t.Load(2, {10 * kBlockSize});  // unprotected miss
   });
   Gpu gpu(cfg, plan);
-  const auto stats = gpu.Run({kt});
+  const auto stats = gpu.Run(*kt);
   EXPECT_EQ(stats.replica_transactions, 1u);
   EXPECT_EQ(stats.l1_misses, 2u);
   EXPECT_EQ(stats.L1MissedAccesses(), 3u);
@@ -258,20 +233,16 @@ TEST(Gpu, CorrectionTriplicatesAndStalls) {
   detect.ranges.push_back(range);
   correct.ranges.push_back(range);
 
-  auto gen = [](WarpId w) {
-    std::vector<trace::WarpMemInst> v;
+  const auto kt = MakeTrace(2, 4, [](HandTrace& t, WarpId w) {
     for (int i = 0; i < 8; ++i) {
-      v.push_back(
-          Load(1, {static_cast<Addr>((w * 8 + i) % 64) * kBlockSize}));
+      t.Load(1, {static_cast<Addr>((w * 8 + i) % 64) * kBlockSize});
     }
-    return v;
-  };
-  auto kt = MakeTrace(2, 4, gen);
+  });
 
   Gpu gd(cfg, detect);
-  const auto sd = gd.Run({kt});
+  const auto sd = gd.Run(*kt);
   Gpu gc(cfg, correct);
-  const auto sc = gc.Run({kt});
+  const auto sc = gc.Run(*kt);
   EXPECT_EQ(sc.replica_transactions, 2 * sd.replica_transactions);
   // Waiting for all three copies can't be faster than lazy detection.
   EXPECT_GE(sc.cycles, sd.cycles);

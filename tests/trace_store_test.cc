@@ -1,6 +1,6 @@
-// TraceStore tests: the profiling recorder's store against its AoS
-// form on all fifteen applications, cursor iteration order, FindWarp
-// semantics, cached totals, binary serialization round trips,
+// TraceStore tests: the profiling recorder's cached totals against a
+// cursor walk on all fifteen applications, cursor iteration order,
+// FindWarp semantics, binary serialization round trips,
 // malformed-file rejection, and the columnar footprint win.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,9 @@
 
 #include "apps/driver.h"
 #include "apps/registry.h"
+#include "common/binio.h"
 #include "common/file_util.h"
+#include "hand_trace.h"
 #include "trace/trace_io.h"
 #include "trace/trace_store.h"
 
@@ -22,27 +24,23 @@ std::shared_ptr<const trace::TraceStore> Recorded(const std::string& name) {
   return apps::ProfileApp(*app, sim::GpuConfig{}).trace_store;
 }
 
-// Field-by-field equality of a store against the legacy traces it was
-// built from — the walk mirrors how every consumer iterates — and of
-// its cached per-kernel and whole-store totals against counts taken
-// from the legacy traces.
-void ExpectEquivalent(const trace::TraceStore& store,
-                      const std::vector<trace::KernelTrace>& legacy,
-                      const std::string& context) {
-  ASSERT_EQ(store.NumKernels(), legacy.size()) << context;
+// The store's cached per-kernel and whole-store totals against counts
+// taken by walking it the way every consumer iterates.
+void ExpectTotalsMatchWalk(const trace::TraceStore& store,
+                           const std::string& context) {
   std::uint64_t all_insts = 0, all_txns = 0, all_stores = 0;
+  std::uint64_t all_warps = 0;
   for (std::uint32_t k = 0; k < store.NumKernels(); ++k) {
     const trace::KernelView kv = store.Kernel(k);
-    const trace::KernelTrace& kt = legacy[k];
-    EXPECT_EQ(kv.name(), kt.name) << context;
-    EXPECT_EQ(kv.cfg().grid, kt.cfg.grid) << context;
-    EXPECT_EQ(kv.cfg().block, kt.cfg.block) << context;
     std::uint64_t insts = 0, txns = 0, stores = 0;
-    for (const trace::WarpTrace& wt : kt.warps) {
-      insts += wt.insts.size();
-      for (const trace::WarpMemInst& inst : wt.insts) {
-        txns += inst.blocks.size();
-        if (inst.type == AccessType::kStore) stores += inst.blocks.size();
+    for (std::uint32_t w = 0; w < kv.NumWarps(); ++w) {
+      const trace::WarpSlice ws = kv.Warp(w);
+      EXPECT_EQ(kv.FindWarp(ws.warp()).warp(), ws.warp()) << context;
+      insts += ws.NumInsts();
+      for (std::uint32_t i = 0; i < ws.NumInsts(); ++i) {
+        const trace::InstView iv = ws.Inst(i);
+        txns += iv.blocks.size();
+        if (iv.type == AccessType::kStore) stores += iv.blocks.size();
       }
     }
     EXPECT_EQ(kv.TotalMemInsts(), insts) << context;
@@ -51,65 +49,38 @@ void ExpectEquivalent(const trace::TraceStore& store,
     all_insts += insts;
     all_txns += txns;
     all_stores += stores;
-    ASSERT_EQ(kv.NumWarps(), kt.warps.size()) << context;
-    for (std::uint32_t w = 0; w < kv.NumWarps(); ++w) {
-      const trace::WarpSlice ws = kv.Warp(w);
-      const trace::WarpTrace& wt = kt.warps[w];
-      EXPECT_EQ(ws.warp(), wt.warp) << context;
-      EXPECT_EQ(ws.cta(), wt.cta) << context;
-      ASSERT_EQ(ws.NumInsts(), wt.insts.size()) << context;
-      for (std::uint32_t i = 0; i < ws.NumInsts(); ++i) {
-        const trace::InstView iv = ws.Inst(i);
-        const trace::WarpMemInst& inst = wt.insts[i];
-        EXPECT_EQ(iv.pc, inst.pc) << context;
-        EXPECT_EQ(iv.type, inst.type) << context;
-        EXPECT_EQ(iv.active_lanes, inst.active_lanes) << context;
-        ASSERT_EQ(iv.blocks.size(), inst.blocks.size()) << context;
-        for (std::size_t b = 0; b < iv.blocks.size(); ++b) {
-          EXPECT_EQ(iv.blocks[b], inst.blocks[b]) << context;
-        }
-      }
-    }
+    all_warps += kv.NumWarps();
   }
+  EXPECT_EQ(store.NumWarps(), all_warps) << context;
+  EXPECT_EQ(store.NumInsts(), all_insts) << context;
+  EXPECT_EQ(store.NumBlockAddrs(), all_txns) << context;
   EXPECT_EQ(store.TotalMemInsts(), all_insts) << context;
   EXPECT_EQ(store.TotalTransactions(), all_txns) << context;
   EXPECT_EQ(store.TotalStoreTransactions(), all_stores) << context;
 }
 
-trace::WarpTrace MakeWarp(WarpId warp, std::uint32_t cta,
-                          std::initializer_list<trace::WarpMemInst> insts) {
-  trace::WarpTrace wt;
-  wt.warp = warp;
-  wt.cta = cta;
-  wt.insts = insts;
-  return wt;
-}
-
 TEST(TraceStoreBuild, EquivalentToLegacyOnAllApps) {
   for (const auto& name : apps::AllAppNames()) {
     const auto recorded = Recorded(name);
-    const auto legacy = trace::ToKernelTraces(*recorded);
-    const auto store = trace::BuildStore(legacy, recorded->columns().edges);
-    ExpectEquivalent(*store, legacy, name);
-    // Flattening the AoS form reproduces the recorder's columns.
-    EXPECT_TRUE(*store == *recorded) << name;
-
-    // ToKernelTraces is the exact inverse of BuildStore.
-    const auto round = trace::ToKernelTraces(*store);
-    ExpectEquivalent(*trace::BuildStore(round), legacy, name + " (inverse)");
+    ExpectTotalsMatchWalk(*recorded, name);
+    EXPECT_TRUE(*trace::LoadTraceFromString(
+                    trace::SaveTraceToString(*recorded)) == *recorded)
+        << name;
   }
 }
 
 TEST(TraceStoreCursor, IterationPreservesRecordedOrder) {
-  trace::KernelTrace k1;
-  k1.name = "first";
-  k1.warps.push_back(MakeWarp(0, 0, {{1, AccessType::kLoad, 32, {0, 128}},
-                                     {2, AccessType::kStore, 16, {256}}}));
-  k1.warps.push_back(MakeWarp(3, 1, {{4, AccessType::kLoad, 32, {384}}}));
-  trace::KernelTrace k2;
-  k2.name = "second";
-  k2.warps.push_back(MakeWarp(7, 2, {{9, AccessType::kLoad, 8, {512, 640}}}));
-  const auto store = trace::BuildStore({k1, k2});
+  const auto store = test::HandTrace()
+                         .Kernel({}, "first")
+                         .Warp(0, 0)
+                         .Inst(1, AccessType::kLoad, 32, {0, 128})
+                         .Inst(2, AccessType::kStore, 16, {256})
+                         .Warp(3, 1)
+                         .Inst(4, AccessType::kLoad, 32, {384})
+                         .Kernel({}, "second")
+                         .Warp(7, 2)
+                         .Inst(9, AccessType::kLoad, 8, {512, 640})
+                         .Build();
 
   ASSERT_EQ(store->NumKernels(), 2u);
   EXPECT_EQ(store->NumWarps(), 3u);
@@ -139,27 +110,32 @@ TEST(TraceStoreCursor, IterationPreservesRecordedOrder) {
 }
 
 TEST(TraceStoreCursor, FindWarpSortedAndUnsorted) {
-  // Sorted warp ids (the builder's invariant): binary-search path.
-  trace::KernelTrace sorted;
-  sorted.warps.push_back(MakeWarp(2, 0, {{1, AccessType::kLoad, 32, {0}}}));
-  sorted.warps.push_back(MakeWarp(5, 1, {{2, AccessType::kLoad, 32, {128}}}));
-  sorted.warps.push_back(MakeWarp(9, 2, {{3, AccessType::kLoad, 32, {256}}}));
-  // Unsorted ids (hand-built): linear fallback.
-  trace::KernelTrace unsorted;
-  unsorted.warps.push_back(MakeWarp(8, 0, {{4, AccessType::kLoad, 32, {0}}}));
-  unsorted.warps.push_back(MakeWarp(1, 1, {{5, AccessType::kLoad, 32, {128}}}));
-  const auto store = trace::BuildStore({sorted, unsorted});
-
+  // Ascending warp ids (every store's invariant): binary search.
+  const auto store = test::HandTrace()
+                         .Kernel()
+                         .Warp(2, 0).Load(1, {0})
+                         .Warp(5, 1).Load(2, {128})
+                         .Warp(9, 2).Load(3, {256})
+                         .Build();
   const trace::KernelView kv0 = store->Kernel(0);
   EXPECT_EQ(kv0.FindWarp(5).Inst(0).pc, 2u);
   EXPECT_EQ(kv0.FindWarp(9).cta(), 2u);
   EXPECT_TRUE(kv0.FindWarp(3).Empty());   // absent id
   EXPECT_TRUE(kv0.FindWarp(100).Empty());
 
-  const trace::KernelView kv1 = store->Kernel(1);
-  EXPECT_EQ(kv1.FindWarp(1).Inst(0).pc, 5u);
-  EXPECT_EQ(kv1.FindWarp(8).Inst(0).pc, 4u);
-  EXPECT_TRUE(kv1.FindWarp(2).Empty());
+  // Descending or repeated ids within a kernel are refused; the same
+  // id in two kernels is fine.
+  test::HandTrace unsorted;
+  unsorted.Kernel().Warp(8, 0).Load(4, {0}).Warp(1, 1).Load(5, {128});
+  EXPECT_THROW(unsorted.Build(), std::invalid_argument);
+  test::HandTrace repeated;
+  repeated.Kernel().Warp(1, 0).Load(4, {0}).Warp(1, 0).Load(5, {128});
+  EXPECT_THROW(repeated.Build(), std::invalid_argument);
+  const auto two = test::HandTrace()
+                       .Kernel().Warp(1).Load(4, {0})
+                       .Kernel().Warp(1).Load(5, {128})
+                       .Build();
+  EXPECT_EQ(two->Kernel(1).FindWarp(1).Inst(0).pc, 5u);
 
   // A default WarpSlice is an empty warp — the replay's placeholder.
   const trace::WarpSlice empty;
@@ -181,24 +157,43 @@ TEST(TraceStoreIo, RoundTripIsIdentical) {
   std::istringstream is(os.str());
   EXPECT_TRUE(*trace::LoadTrace(is) == *store);
 
-  // The varint-delta encoding beats both raw columns and the legacy
-  // AoS form on disk.
+  // The varint-delta encoding beats the raw columns on disk.
   EXPECT_LT(bytes.size(), store->FootprintBytes());
 }
 
 TEST(TraceStoreIo, EmptyAndHandBuiltStoresRoundTrip) {
-  const auto empty = trace::BuildStore(std::vector<trace::KernelTrace>{});
+  const auto empty = test::HandTrace().Build();
   EXPECT_TRUE(*trace::LoadTraceFromString(trace::SaveTraceToString(*empty)) ==
               *empty);
 
-  // Unaligned hand-built addresses survive losslessly (the format
-  // encodes raw address deltas, not block indices).
-  trace::KernelTrace kt;
-  kt.name = "odd";
-  kt.warps.push_back(MakeWarp(0, 0, {{1, AccessType::kStore, 7, {3, 1}}}));
-  const auto store = trace::BuildStore({kt});
-  EXPECT_TRUE(*trace::LoadTraceFromString(trace::SaveTraceToString(*store)) ==
-              *store);
+  const auto store = test::HandTrace()
+                         .Kernel({}, "odd")
+                         .Warp(0)
+                         .Inst(1, AccessType::kStore, 7, {384})
+                         .Inst(2, AccessType::kLoad, 3, {384})
+                         .Build();
+  const std::string bytes = trace::SaveTraceToString(*store);
+  EXPECT_TRUE(*trace::LoadTraceFromString(bytes) == *store);
+
+  // The pool holds 32-bit block indices: an unaligned address, or one
+  // whose index needs more than 32 bits, is refused on the way in.
+  trace::TraceStore::Columns cols;
+  EXPECT_THROW(cols.PushBlock(3), std::invalid_argument);
+  EXPECT_THROW(cols.PushBlock(kBlockSize + 1), std::invalid_argument);
+  EXPECT_THROW(cols.PushBlock((Addr{1} << 32) * kBlockSize),
+               std::invalid_argument);
+  EXPECT_TRUE(cols.blocks.empty());
+
+  // The file format still carries raw address deltas, so a file can
+  // name an unaligned address; the loader refuses it. The pool is the
+  // last section of a version-1 file: its final delta (384 -> 384, one
+  // zero byte) becomes 384 -> 387.
+  std::string body = bytes.substr(0, bytes.size() - 8);
+  ASSERT_EQ(body.back(), '\0');
+  body.pop_back();
+  bin::PutVarint(body, bin::ZigZag(3));
+  bin::AppendChecksum(body);
+  EXPECT_THROW(trace::LoadTraceFromString(body), std::runtime_error);
 }
 
 TEST(TraceStoreIo, RejectsMalformedFiles) {
@@ -280,19 +275,26 @@ TEST(TraceStoreIo, FileSaveIsAtomicAndTornFilesAreRejected) {
 
 TEST(TraceStoreFootprint, ColumnarHalvesTheLegacyBytes) {
   // Streaming apps coalesce nearly every load into one transaction, so
-  // the legacy 40-byte WarpMemInst + heap vector per instruction is
-  // dominated by overhead the columns do not pay.
+  // a nested-AoS layout's 40-byte instruction struct with its own heap
+  // vector is dominated by overhead the columns do not pay.
   const auto store = Recorded("P-BICG");
-  const auto legacy = trace::ToKernelTraces(*store);
-  const std::uint64_t aos = trace::LegacyFootprintBytes(legacy);
+  const std::uint64_t aos = trace::LegacyFootprintBytes(*store);
   EXPECT_GE(aos, 2 * store->FootprintBytes())
       << "AoS " << aos << "B vs columnar " << store->FootprintBytes() << "B";
+  // The closed form: 88 B + name per kernel, 32 B per warp, 40 B per
+  // instruction, 8 B per block address.
+  const auto hand = test::HandTrace()
+                        .Kernel({}, "abc")
+                        .Warp(0).Load(1, {0, 128}).Store(2, {256})
+                        .Warp(1).Load(3, {384})
+                        .Kernel()
+                        .Build();
+  EXPECT_EQ(trace::LegacyFootprintBytes(*hand),
+            2 * 88u + 3 + 2 * 32u + 3 * 40u + 4 * 8u);
 }
 
 TEST(TraceStoreValidation, FromColumnsRejectsRaggedColumns) {
-  trace::KernelTrace kt;
-  kt.warps.push_back(MakeWarp(0, 0, {{1, AccessType::kLoad, 32, {0}}}));
-  const auto store = trace::BuildStore({kt});
+  const auto store = test::HandTrace().Kernel().Warp(0).Load(1, {0}).Build();
 
   // Prefix array not ending at the pool size.
   auto cols = store->columns();
